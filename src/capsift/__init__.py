@@ -13,8 +13,6 @@ from .classifiers import (
     AlgorithmSpec,
     TrainedModel,
     load_model,
-    predict,
-    predict_scores,
     save_model,
     train,
 )
@@ -81,7 +79,7 @@ __all__ = [
     "SmoteParams", "ResampledDataset", "smote",
     # classifiers
     "ALGORITHMS", "DEFAULT_HYPERPARAMS", "AlgorithmSpec", "TrainedModel",
-    "train", "predict", "predict_scores", "save_model", "load_model",
+    "train", "save_model", "load_model",
     # metrics
     "TASK_THREE_CLASS", "TASK_BINARY", "ConfusionMatrix", "MetricsSummary",
     "EvaluationReport", "EmbeddingScore", "confusion_matrix",

@@ -18,8 +18,6 @@ from .base import (
     DummyMostFrequentModel,
     Scaler,
     TrainedModel,
-    predict,
-    predict_scores,
     standardize_fit,
     train,
 )
@@ -53,8 +51,6 @@ __all__ = [
     "ModelFormatError",
     "cross_entropy_loss_and_grad",
     "train",
-    "predict",
-    "predict_scores",
     "standardize_fit",
     "save_model",
     "load_model",

@@ -221,11 +221,3 @@ def train(spec: AlgorithmSpec, features, labels) -> TrainedModel:
     if trainer is None:
         raise ValueError(f"no trainer registered for {spec.algorithm!r}")
     return trainer(spec, X, y_codes, classes)
-
-
-def predict(model: TrainedModel, features) -> np.ndarray:
-    return model.predict(features)
-
-
-def predict_scores(model: TrainedModel, features) -> np.ndarray:
-    return model.predict_scores(features)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import (
-    KNN, NEAREST_CENTROID, AlgorithmSpec, Scaler, TrainedModel,
+    KNN, NEAREST_CENTROID, AlgorithmSpec, TrainedModel,
     register_algorithm, standardize_fit,
 )
 

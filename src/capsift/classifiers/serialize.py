@@ -30,7 +30,7 @@ def _render(value) -> str:
     return repr(float(value))
 
 
-def _parse_number(text: str) -> float | int:
+def parse_number(text: str) -> float | int:
     try:
         return int(text)
     except ValueError:
@@ -153,11 +153,11 @@ def load_model(path: str | Path) -> TrainedModel:
             elif keyword == "classes":
                 classes = np.array([int(p) for p in parts[1:]], dtype=np.int64)
             elif keyword == "hyperparam":
-                hyperparams[parts[1]] = _parse_number(parts[2])
+                hyperparams[parts[1]] = parse_number(parts[2])
             elif keyword == "scaler":
                 has_scaler = bool(int(parts[1]))
             elif keyword == "scalar":
-                scalars[parts[1]] = _parse_number(parts[2])
+                scalars[parts[1]] = parse_number(parts[2])
             elif keyword == "array":
                 name, arr = _read_array(reader, parts)
                 arrays[name] = arr

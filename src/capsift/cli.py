@@ -2,8 +2,8 @@
 
 Subcommands: ``run`` (full experiment from a config file), ``stats``
 (manifest engagement-count summaries), ``vectorize`` (caption-vector export).
-Exit codes: 0 success, 1 config or input error, 2 partial failure (some
-cells skipped).
+Exit codes: 0 success, 1 config or input error, 2 partial run (some
+data-degenerate cells skipped).
 """
 
 from __future__ import annotations

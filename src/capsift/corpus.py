@@ -73,8 +73,6 @@ class CaptionDocument:
     """
 
     record: VideoRecord
-    raw_text: str
-    cleaned_text: str
     tokens: tuple[str, ...]
     raw_char_count: int
     stopword_ratio: float
@@ -102,19 +100,10 @@ class BoxplotSummary:
     maximum: float
 
 
-def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
-    """Load a stopword file (one lowercase word per line).
-
-    With no path, the bundled English list is used.
-    """
-    if path is None:
-        text = resources.files("capsift.data").joinpath("stopwords.txt").read_text("utf-8")
-    else:
-        text = Path(path).read_text("utf-8")
-    words = frozenset(line.strip() for line in text.splitlines() if line.strip())
-    if not words:
-        raise CorpusError(f"stopword file is empty: {path}")
-    return words
+def load_stopwords() -> frozenset[str]:
+    """Load the bundled English stopword list (one lowercase word per line)."""
+    text = resources.files("capsift.data").joinpath("stopwords.txt").read_text("utf-8")
+    return frozenset(line.strip() for line in text.splitlines() if line.strip())
 
 
 def _parse_count(value: str, column: str, line: int) -> int | None:
@@ -209,11 +198,9 @@ def preprocess_caption(raw: str, stopwords: frozenset[str]) -> tuple[str, tuple[
 
 
 def make_document(record: VideoRecord, raw: str, stopwords: frozenset[str]) -> CaptionDocument:
-    cleaned, tokens, ratio = preprocess_caption(raw, stopwords)
+    _, tokens, ratio = preprocess_caption(raw, stopwords)
     return CaptionDocument(
         record=record,
-        raw_text=raw,
-        cleaned_text=cleaned,
         tokens=tokens,
         raw_char_count=len(raw),
         stopword_ratio=ratio,
@@ -245,28 +232,26 @@ def load_corpus(
 
 def filter_corpus(
     documents: list[CaptionDocument],
-    min_chars: int = MIN_CAPTION_CHARS,
-    min_stopword_ratio: float = MIN_STOPWORD_RATIO,
 ) -> tuple[list[CaptionDocument], list[Exclusion]]:
     """Drop short captions and captions unlikely to be English.
 
-    Captions with fewer than ``min_chars`` raw characters are discarded, as
-    are captions whose stopword ratio falls below ``min_stopword_ratio`` (a
-    cheap English-likeness proxy). Order of retained documents is preserved
-    and every drop is logged.
+    Captions with fewer than ``MIN_CAPTION_CHARS`` raw characters are
+    discarded, as are captions whose stopword ratio falls below
+    ``MIN_STOPWORD_RATIO`` (a cheap English-likeness proxy). Order of
+    retained documents is preserved and every drop is logged.
     """
     retained: list[CaptionDocument] = []
     rejections: list[Exclusion] = []
     for doc in documents:
-        if doc.raw_char_count < min_chars:
+        if doc.raw_char_count < MIN_CAPTION_CHARS:
             rejections.append(Exclusion(
                 doc.record.video_id, "filter",
-                f"caption below {min_chars} chars (raw length {doc.raw_char_count})",
+                f"caption below {MIN_CAPTION_CHARS} chars (raw length {doc.raw_char_count})",
             ))
-        elif doc.stopword_ratio < min_stopword_ratio:
+        elif doc.stopword_ratio < MIN_STOPWORD_RATIO:
             rejections.append(Exclusion(
                 doc.record.video_id, "filter",
-                f"stopword ratio {doc.stopword_ratio:.3f} below {min_stopword_ratio}"
+                f"stopword ratio {doc.stopword_ratio:.3f} below {MIN_STOPWORD_RATIO}"
                 " (non-English heuristic)",
             ))
         else:

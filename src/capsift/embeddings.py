@@ -55,10 +55,6 @@ class CaptionVector:
     coverage: float
 
 
-def lookup(table: EmbeddingTable, token: str) -> np.ndarray | None:
-    return table.lookup(token)
-
-
 def _is_word2vec_header(line: str) -> bool:
     parts = line.split()
     if len(parts) != 2:

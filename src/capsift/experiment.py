@@ -10,8 +10,8 @@ derived from the master seed per cell, so reruns are byte-identical.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .classifiers import ALGORITHMS, DEFAULT_HYPERPARAMS, DUMMY, AlgorithmSpec, train
+from .classifiers.serialize import parse_number
 from .corpus import (
     Exclusion,
     Topic,
@@ -103,6 +104,8 @@ class ExperimentConfig:
         for topic in self.topics:
             if topic not in _VALID_TOPICS:
                 raise ConfigError(f"unknown topic {topic!r}; valid: {', '.join(_VALID_TOPICS)}")
+        if len(set(self.topics)) != len(self.topics):
+            raise ConfigError("duplicate topics")
         if self.task not in (TASK_THREE_CLASS, TASK_BINARY, TASK_BOTH):
             raise ConfigError(f"task must be three|binary|both, got {self.task!r}")
         if self.smote_k < 1:
@@ -144,13 +147,6 @@ def _parse_float(value: str, key: str) -> float:
         raise ConfigError(f"{key}: expected a number, got {value!r}") from None
 
 
-def _parse_number(value: str, key: str) -> float | int:
-    try:
-        return int(value)
-    except ValueError:
-        return _parse_float(value, key)
-
-
 def _split_list(value: str) -> list[str]:
     return [part.strip() for part in value.split(",") if part.strip()]
 
@@ -158,8 +154,9 @@ def _split_list(value: str) -> list[str]:
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse a flat ``key = value`` config file.
 
-    Blank lines and lines starting with ``#`` are ignored. Relative paths
-    resolve against the config file's directory, so configs are relocatable.
+    Blank lines and lines starting with ``#`` are ignored; a key may appear
+    only once. Relative paths resolve against the config file's directory,
+    so configs are relocatable.
     """
     path = Path(path)
     try:
@@ -175,6 +172,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     fields: dict = {}
     embeddings: list[tuple[str, Path]] = []
     hyperparams: dict[str, dict[str, float | int]] = {}
+    key_lines: dict[str, int] = {}
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
@@ -184,6 +182,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
+        if key in key_lines:
+            raise ConfigError(
+                f"{path}: line {line_no}: key {key!r} repeats line {key_lines[key]}")
+        key_lines[key] = line_no
         if key == "manifest":
             fields["manifest"] = resolve(value)
         elif key == "captions_root":
@@ -219,7 +221,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
                 raise ConfigError(
                     f"{path}: line {line_no}: unknown hyperparameter {param!r} for {algo}"
                 )
-            hyperparams.setdefault(algo, {})[param] = _parse_number(value, key)
+            try:
+                number = parse_number(value)
+            except ValueError:
+                raise ConfigError(f"{key}: expected a number, got {value!r}") from None
+            hyperparams.setdefault(algo, {})[param] = number
         else:
             raise ConfigError(f"{path}: line {line_no}: unknown key {key!r}")
     if "manifest" not in fields:
@@ -360,9 +366,31 @@ def _effective_topics(config: ExperimentConfig, records) -> tuple[str, ...]:
     return tuple(sorted({r.topic.value for r in records}))
 
 
-def _vectorize_topic(documents, name: str, table: EmbeddingTable, exclusions):
+@dataclass(frozen=True)
+class PreparedSplit:
+    """Caption vectors of one (topic, embedding) with its seeded train/test
+    split, shared by both tasks. ``labels`` are the three-class labels."""
+
+    features: np.ndarray
+    labels: np.ndarray
+    train_idx: np.ndarray
+    test_idx: np.ndarray
+    audit: SplitAudit
+
+
+def prepare_topic_embedding(
+    config: ExperimentConfig, topic: str, name: str, table: EmbeddingTable, kept,
+) -> tuple[PreparedSplit | None, list[Exclusion], list[SkippedCell]]:
+    """Vectorize one topic's kept captions against one embedding and draw
+    the seeded split.
+
+    Returns (prepared, exclusions, skipped). Captions without coverage are
+    exclusions. When no caption is covered, or a class has fewer than 2
+    members, the (topic, embedding) is skipped and ``prepared`` is None.
+    """
     rows, labels, ids = [], [], []
-    for doc in documents:
+    exclusions: list[Exclusion] = []
+    for doc in kept:
         cv = vectorize_caption(table, doc.tokens)
         if cv.vector is None:
             exclusions.append(Exclusion(
@@ -375,16 +403,84 @@ def _vectorize_topic(documents, name: str, table: EmbeddingTable, exclusions):
         labels.append(int(doc.record.label))
         ids.append(doc.record.video_id)
     if not rows:
-        return None, None, ()
-    return np.vstack(rows), np.array(labels, dtype=np.int64), tuple(ids)
+        return None, exclusions, [SkippedCell(
+            topic, "*", name, "*", "no caption had embedding coverage")]
+    y3 = np.array(labels, dtype=np.int64)
+    classes3, counts3 = np.unique(y3, return_counts=True)
+    if len(classes3) < 2 or counts3.min() < 2:
+        return None, exclusions, [SkippedCell(
+            topic, "*", name, "*",
+            f"class counts {dict(zip(classes3.tolist(), counts3.tolist()))} "
+            "too small to split")]
+    split_seed = derive_seed(config.seed, topic, "split", name)
+    train_idx, test_idx = stratified_split(y3, config.test_fraction, split_seed)
+    audit = SplitAudit(
+        topic=topic, embedding=name,
+        train_ids=tuple(ids[i] for i in train_idx),
+        test_ids=tuple(ids[i] for i in test_idx),
+    )
+    return PreparedSplit(np.vstack(rows), y3, train_idx, test_idx, audit), exclusions, []
+
+
+def run_cell(
+    config: ExperimentConfig, topic: str, task: str, name: str, prepared: PreparedSplit,
+) -> tuple[list[EvaluationReport], list[SkippedCell]]:
+    """Balance one (topic, task, embedding) cell with SMOTE, then train and
+    evaluate every configured algorithm on it.
+
+    Returns (ranked reports, skipped). A training split with a single class,
+    or with a class too small to balance, skips the whole cell. A model
+    whose training raises ValueError (degenerate data) is skipped alone;
+    any other exception is a programming error and propagates.
+    """
+    y = prepared.labels if task == TASK_THREE_CLASS else binarize_labels(prepared.labels)
+    y_train, y_test = y[prepared.train_idx], y[prepared.test_idx]
+    train_classes, train_counts = np.unique(y_train, return_counts=True)
+    if len(train_classes) < 2:
+        return [], [SkippedCell(topic, task, name, "*", "training split has a single class")]
+    if train_counts.min() < 2:
+        return [], [SkippedCell(
+            topic, task, name, "*",
+            "a training class has fewer than 2 samples; cannot balance")]
+    smote_seed = derive_seed(config.seed, topic, task, name, "__smote__")
+    balanced = smote(prepared.features[prepared.train_idx], y_train,
+                     SmoteParams(k_neighbors=config.smote_k, seed=smote_seed))
+    X_test = prepared.features[prepared.test_idx]
+    eval_classes = np.unique(y)
+    reports: list[EvaluationReport] = []
+    skipped: list[SkippedCell] = []
+    for algo in config.sweep_algorithms():
+        model_seed = derive_seed(config.seed, topic, task, name, algo)
+        spec = AlgorithmSpec(
+            algorithm=algo,
+            hyperparams=config.hyperparams.get(algo, {}),
+            seed=model_seed,
+        )
+        try:
+            model = train(spec, balanced.features, balanced.labels)
+        except ValueError as exc:
+            skipped.append(SkippedCell(
+                topic, task, name, algo, f"failed: {type(exc).__name__}: {exc}"))
+            continue
+        y_pred = model.predict(X_test)
+        positive = None
+        if task == TASK_BINARY:
+            col = int(np.flatnonzero(model.classes == 1)[0])
+            positive = model.predict_scores(X_test)[:, col]
+        reports.append(evaluate_predictions(
+            algo, name, task, y_test, y_pred, eval_classes,
+            positive_scores=positive, topic=topic, seed=model_seed,
+        ))
+    return (rank_models(reports) if reports else []), skipped
 
 
 def run_experiment(config: ExperimentConfig) -> RunResult:
     """Run the full sweep described by the config.
 
-    Degenerate cells (a topic/class too small to split or balance, or a
-    single-class binary task) are skipped with a logged reason and the run
-    continues; a model that throws during training is likewise logged.
+    Data-degenerate cells (a topic or class too small to split or balance, a
+    single-class binary task, a model whose training raises ValueError) are
+    skipped with a logged reason and the run continues. Any other exception
+    is a programming error and propagates.
     """
     stopwords = load_stopwords()
     records = load_manifest(config.manifest)
@@ -395,16 +491,11 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         (name, parse_embedding_file(path, name=name, lowercase_keys=True))
         for name, path in config.embeddings
     ]
-    tasks = config.tasks()
-    algorithms = config.sweep_algorithms()
 
     reports: list[EvaluationReport] = []
-    score_rows: list[ScoreRow] = []
-    best_models: list[EvaluationReport] = []
     exclusions: list[Exclusion] = []
     skipped: list[SkippedCell] = []
     split_audits: list[SplitAudit] = []
-
     for topic in topics:
         topic_records = [r for r in records if r.topic.value == topic]
         if not topic_records:
@@ -417,85 +508,28 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         if not kept:
             skipped.append(SkippedCell(topic, "*", "*", "*", "no captions left after filtering"))
             continue
-
-        pools: dict[str, list[EvaluationReport]] = {task: [] for task in tasks}
         for name, table in tables:
-            X, y3, ids = _vectorize_topic(kept, name, table, exclusions)
-            if X is None:
-                skipped.append(SkippedCell(
-                    topic, "*", name, "*", "no caption had embedding coverage"))
+            prepared, coverage, skips = prepare_topic_embedding(config, topic, name, table, kept)
+            exclusions.extend(coverage)
+            skipped.extend(skips)
+            if prepared is None:
                 continue
-            classes3, counts3 = np.unique(y3, return_counts=True)
-            if len(classes3) < 2 or counts3.min() < 2:
-                skipped.append(SkippedCell(
-                    topic, "*", name, "*",
-                    f"class counts {dict(zip(classes3.tolist(), counts3.tolist()))} "
-                    "too small to split"))
-                continue
-            split_seed = derive_seed(config.seed, topic, "split", name)
-            train_idx, test_idx = stratified_split(y3, config.test_fraction, split_seed)
-            split_audits.append(SplitAudit(
-                topic=topic, embedding=name,
-                train_ids=tuple(ids[i] for i in train_idx),
-                test_ids=tuple(ids[i] for i in test_idx),
-            ))
-
-            for task in tasks:
-                y = y3 if task == TASK_THREE_CLASS else binarize_labels(y3)
-                y_train, y_test = y[train_idx], y[test_idx]
-                train_classes, train_counts = np.unique(y_train, return_counts=True)
-                if len(train_classes) < 2:
-                    skipped.append(SkippedCell(
-                        topic, task, name, "*", "training split has a single class"))
-                    continue
-                if train_counts.min() < 2:
-                    skipped.append(SkippedCell(
-                        topic, task, name, "*",
-                        "a training class has fewer than 2 samples; cannot balance"))
-                    continue
-                smote_seed = derive_seed(config.seed, topic, task, name, "__smote__")
-                balanced = smote(X[train_idx], y_train,
-                                 SmoteParams(k_neighbors=config.smote_k, seed=smote_seed))
-                eval_classes = np.unique(y)
-                cell_reports: list[EvaluationReport] = []
-                for algo in algorithms:
-                    model_seed = derive_seed(config.seed, topic, task, name, algo)
-                    spec = AlgorithmSpec(
-                        algorithm=algo,
-                        hyperparams=config.hyperparams.get(algo, {}),
-                        seed=model_seed,
-                    )
-                    try:
-                        model = train(spec, balanced.features, balanced.labels)
-                        y_pred = model.predict(X[test_idx])
-                        positive = None
-                        if task == TASK_BINARY:
-                            col = int(np.flatnonzero(model.classes == 1)[0])
-                            positive = model.predict_scores(X[test_idx])[:, col]
-                        report = evaluate_predictions(
-                            algo, name, task, y_test, y_pred, eval_classes,
-                            positive_scores=positive, topic=topic, seed=model_seed,
-                        )
-                    except Exception as exc:  # keep the sweep alive, log the cell
-                        skipped.append(SkippedCell(topic, task, name, algo, f"failed: {exc}"))
-                        continue
-                    cell_reports.append(report)
-                if cell_reports:
-                    ranked = rank_models(cell_reports)
-                    reports.extend(ranked)
-                    pools[task].extend(r for r in ranked if r.model != DUMMY)
-
-        for task in tasks:
-            pool = pools[task]
-            if not pool:
-                continue
-            for t in config.t_values:
-                for score in embedding_performance(pool, t):
-                    score_rows.append(ScoreRow(topic=topic, task=task, score=score))
-            best = min(pool, key=lambda r: (-r.f1_weighted, r.model, r.embedding))
-            best_models.append(best)
+            split_audits.append(prepared.audit)
+            for task in config.tasks():
+                ranked, skips = run_cell(config, topic, task, name, prepared)
+                reports.extend(ranked)
+                skipped.extend(skips)
 
     reports.sort(key=lambda r: (r.topic or "", r.task, r.embedding, r.model))
+    score_rows: list[ScoreRow] = []
+    best_models: list[EvaluationReport] = []
+    for (topic, task), group in itertools.groupby(reports, key=lambda r: (r.topic, r.task)):
+        pool = [r for r in group if r.model != DUMMY]
+        if not pool:
+            continue
+        for t in config.t_values:
+            score_rows.extend(ScoreRow(topic, task, s) for s in embedding_performance(pool, t))
+        best_models.append(min(pool, key=lambda r: (-r.f1_weighted, r.model, r.embedding)))
     score_rows.sort(key=lambda s: (s.topic, s.task, s.score.embedding, s.score.top_t))
     best_models.sort(key=lambda r: (r.task, r.topic or ""))
     return RunResult(
@@ -548,37 +582,28 @@ def _best_models_markdown(result: RunResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_report(result: RunResult, out_dir: str | Path | None = None,
-                formats: tuple[str, ...] = ("csv", "markdown")) -> list[Path]:
+def emit_report(result: RunResult, out_dir: str | Path | None = None) -> list[Path]:
     """Write run artifacts into the output directory and return their paths.
 
-    csv format: reports.csv (full float precision) and embedding_scores.csv
-    (mu to 2 decimals). markdown format: best_models.md (2 decimals).
-    exclusions.log and the resolved config echo are always written.
+    reports.csv (full float precision), embedding_scores.csv (mu to 2
+    decimals), best_models.md (2 decimals), exclusions.log and the resolved
+    config echo.
     """
     out = Path(out_dir) if out_dir is not None else result.config.out_dir
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out}: {exc}") from None
-    written: list[Path] = []
 
-    if "csv" in formats:
-        reports_path = out / "reports.csv"
-        _write_csv(reports_path, REPORT_CSV_HEADER,
-                   [report_csv_row(r) for r in result.reports])
-        written.append(reports_path)
-        scores_path = out / "embedding_scores.csv"
-        _write_csv(scores_path, EMBEDDING_SCORES_HEADER, [
-            (s.topic, s.task, s.score.embedding, str(s.score.top_t), f"{s.score.mu:.2f}")
-            for s in result.embedding_scores
-        ])
-        written.append(scores_path)
-
-    if "markdown" in formats:
-        best_path = out / "best_models.md"
-        best_path.write_text(_best_models_markdown(result), encoding="utf-8")
-        written.append(best_path)
+    reports_path = out / "reports.csv"
+    _write_csv(reports_path, REPORT_CSV_HEADER, [report_csv_row(r) for r in result.reports])
+    scores_path = out / "embedding_scores.csv"
+    _write_csv(scores_path, EMBEDDING_SCORES_HEADER, [
+        (s.topic, s.task, s.score.embedding, str(s.score.top_t), f"{s.score.mu:.2f}")
+        for s in result.embedding_scores
+    ])
+    best_path = out / "best_models.md"
+    best_path.write_text(_best_models_markdown(result), encoding="utf-8")
 
     log_path = out / "exclusions.log"
     log_lines = [
@@ -588,7 +613,6 @@ def emit_report(result: RunResult, out_dir: str | Path | None = None,
         for s in result.skipped
     ]
     log_path.write_text("".join(line + "\n" for line in log_lines), encoding="utf-8")
-    written.append(log_path)
 
     config_path = out / "config_resolved.txt"
     config_path.write_text(
@@ -596,5 +620,4 @@ def emit_report(result: RunResult, out_dir: str | Path | None = None,
         + render_config(result.config, result.topics),
         encoding="utf-8",
     )
-    written.append(config_path)
-    return written
+    return [reports_path, scores_path, best_path, log_path, config_path]

@@ -8,8 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import capsift.experiment
 from capsift.classifiers import DUMMY
 from capsift.cli import EXIT_ERROR, EXIT_OK, EXIT_PARTIAL, main
+from capsift.corpus import filter_corpus, load_corpus, load_manifest, load_stopwords
+from capsift.embeddings import parse_embedding_file
 from capsift.experiment import (
     DEFAULT_T_VALUES,
     TASK_BOTH,
@@ -21,10 +24,12 @@ from capsift.experiment import (
     emit_report,
     load_config,
     normalize_task,
+    prepare_topic_embedding,
+    run_cell,
     run_experiment,
     stratified_split,
 )
-from capsift.metrics import TASK_BINARY, TASK_THREE_CLASS
+from capsift.metrics import TASK_BINARY, TASK_THREE_CLASS, report_csv_row
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -80,6 +85,12 @@ def test_load_config_hyperparam_overrides(tmp_path):
         ("embedding.e = e.txt\n", "manifest"),
         ("manifest = m.csv\n", "embedding"),
         ("manifest = m.csv\nembedding.e = e.txt\ntask = quaternary\n", "task"),
+        ("manifest = m.csv\nseed = 1\n\nseed = 2\n", "line 4: key 'seed' repeats line 2"),
+        ("manifest = m.csv\nembedding.e = e.txt\nembedding.e = f.txt\n",
+         "line 3: key 'embedding.e' repeats line 2"),
+        ("manifest = m.csv\nknn.k = 3\n# comment\nknn.k = 4\n",
+         "line 4: key 'knn.k' repeats line 2"),
+        ("manifest = a.csv\nmanifest = b.csv\n", "line 2: key 'manifest' repeats line 1"),
     ],
 )
 def test_load_config_errors(tmp_path, body, fragment):
@@ -130,6 +141,7 @@ def base_config(**overrides):
         ({"t_values": ()}, "t_values"),
         ({"t_values": (0,)}, "t_values"),
         ({"hyperparams": {"perceptron": {"k": 1}}}, "unknown algorithm"),
+        ({"topics": ("moon", "vaccines", "moon")}, "duplicate topics"),
     ],
 )
 def test_config_validation(overrides, fragment):
@@ -304,6 +316,57 @@ def test_sweep_same_split_for_both_tasks(fixture_run, fixture_config):
     assert len(seen) == len(fixture_run.split_audits)
 
 
+def test_single_cell_reproduces_its_rows_of_the_full_sweep(fixture_run, fixture_config):
+    topic, task, name = "moon", TASK_BINARY, "toy8"
+    records = [r for r in load_manifest(fixture_config.manifest) if r.topic.value == topic]
+    documents, _ = load_corpus(records, fixture_config.captions_root, load_stopwords())
+    kept, _ = filter_corpus(documents)
+    table = parse_embedding_file(dict(fixture_config.embeddings)[name], name=name,
+                                 lowercase_keys=True)
+    prepared, exclusions, skipped = prepare_topic_embedding(
+        fixture_config, topic, name, table, kept)
+    assert [e.video_id for e in exclusions] == ["moon_oov"] and not skipped
+    ranked, skipped = run_cell(fixture_config, topic, task, name, prepared)
+    assert not skipped
+    expected = [r for r in fixture_run.reports
+                if (r.topic, r.task, r.embedding) == (topic, task, name)]
+    assert len(expected) == 7
+
+    def rows(reports):
+        return sorted((report_csv_row(r), r.rank) for r in reports)
+
+    assert rows(ranked) == rows(expected)
+
+
+def test_training_value_error_skips_only_that_model(fixture_config, monkeypatch):
+    real_train = capsift.experiment.train
+
+    def train(spec, features, labels):
+        if spec.algorithm == "gaussian_nb":
+            raise ValueError("degenerate variance")
+        return real_train(spec, features, labels)
+
+    monkeypatch.setattr(capsift.experiment, "train", train)
+    config = dataclasses.replace(fixture_config, topics=("moon",), task=TASK_BINARY,
+                                 algorithms=("nearest_centroid", "gaussian_nb"))
+    result = run_experiment(config)
+    assert [(s.embedding, s.model, s.reason) for s in result.skipped] == [
+        (name, "gaussian_nb", "failed: ValueError: degenerate variance")
+        for name in ("toy16", "toy8")
+    ]
+    assert {r.model for r in result.reports} == {"nearest_centroid", DUMMY}
+
+
+def test_training_programming_error_propagates(fixture_config, monkeypatch):
+    def train(spec, features, labels):
+        raise TypeError("bug in a trainer")
+
+    monkeypatch.setattr(capsift.experiment, "train", train)
+    config = dataclasses.replace(fixture_config, topics=("moon",), task=TASK_BINARY)
+    with pytest.raises(TypeError, match="bug in a trainer"):
+        run_experiment(config)
+
+
 # --- report emission ------------------------------------------------------------
 
 
@@ -397,6 +460,57 @@ def test_cli_run_missing_topic_is_partial(tmp_path, capsys):
     assert "skipped" in captured.err
     log = (tmp_path / "out" / "exclusions.log").read_text(encoding="utf-8")
     assert "flatearth" in log
+
+
+_CLASS_WORDS = {
+    -1: ("debunked", "refuted", "factcheck", "evidence", "study", "research"),
+    0: ("recipe", "gaming", "tutorial", "travel", "weather", "music"),
+    1: ("hoax", "coverup", "conspiracy", "secret", "agenda", "fraud"),
+}
+
+
+def write_tiny_corpus(root: Path, labels_by_topic: dict[str, list[int]]) -> Path:
+    """A toy16 corpus whose captions all pass the filters; returns its config."""
+    (root / "captions").mkdir()
+    rows = ["video_id,topic,label,caption_path,views,likes,dislikes,comments"]
+    for topic, labels in labels_by_topic.items():
+        for i, label in enumerate(labels):
+            words = _CLASS_WORDS[label]
+            text = " ".join(f"the {words[(i + j) % len(words)]}" for j in range(60))
+            vid = f"{topic}{i:02d}"
+            (root / "captions" / f"{vid}.txt").write_text(text, encoding="utf-8")
+            rows.append(f"{vid},{topic},{label},captions/{vid}.txt,10,1,0,0")
+    (root / "manifest.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    cfg = root / "exp.cfg"
+    cfg.write_text(
+        "manifest = manifest.csv\n"
+        f"embedding.toy16 = {FIXTURES / 'embeddings' / 'toy16_glove.txt'}\n"
+        f"topics = {','.join(labels_by_topic)}\n"
+        "algorithms = nearest_centroid,gaussian_nb\n"
+        "out = out\n",
+        encoding="utf-8",
+    )
+    return cfg
+
+
+def test_cli_run_skips_degenerate_cells(tmp_path, capsys):
+    cfg = write_tiny_corpus(tmp_path, {
+        "vaccines": [-1] * 6 + [0] * 6,           # no misinformation label
+        "moon": [-1] * 6 + [0] * 6 + [1],          # a single-member class
+    })
+    code = main(["run", "--config", str(cfg)])
+    capsys.readouterr()
+    assert code == EXIT_PARTIAL
+    log = (tmp_path / "out" / "exclusions.log").read_text(encoding="utf-8")
+    assert log.splitlines() == [
+        "skipped\tvaccines\tbinary\ttoy16\t*\ttraining split has a single class",
+        "skipped\tmoon\t*\ttoy16\t*\tclass counts {-1: 6, 0: 6, 1: 1} too small to split",
+    ]
+    with (tmp_path / "out" / "reports.csv").open(encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    # only vaccines/three_class ran: 2 algorithms + dummy
+    assert {(row[0], row[1]) for row in rows} == {("vaccines", TASK_THREE_CLASS)}
+    assert len(rows) == 3
 
 
 def test_cli_run_bad_config_is_an_error(tmp_path, capsys):
