@@ -96,7 +96,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_vectorize(args) -> int:
-    table = parse_embedding_file(args.embedding, lowercase_keys=True)
+    table = parse_embedding_file(args.embedding)
     records = load_manifest(args.manifest)
     stopwords = load_stopwords()
     documents, skipped = load_corpus(records, args.captions, stopwords)

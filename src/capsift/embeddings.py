@@ -1,5 +1,8 @@
 """Pretrained word-embedding tables and caption vectorization.
 
+A table is one (V, D) float64 matrix plus a word -> row index, and a
+caption's vector is the mean of the rows its tokens hit.
+
 Two text formats are supported: GloVe-style (``word f1 ... fD`` per line, no
 header) and word2vec text (a ``vocab_size dim`` header line followed by
 GloVe-style lines). Binary word2vec files are not supported; convert them to
@@ -23,22 +26,28 @@ class EmbeddingFormatError(Exception):
 
 @dataclass
 class EmbeddingTable:
-    """word -> D-dimensional vector map parsed from one embedding file."""
+    """Word vectors parsed from one embedding file: ``index`` maps each word
+    to its row of the (V, D) float64 ``matrix``."""
 
     name: str
-    dimension: int
-    vectors: dict[str, np.ndarray]
+    index: dict[str, int]
+    matrix: np.ndarray
     source_format: str
 
+    @property
+    def dimension(self) -> int:
+        return self.matrix.shape[1]
+
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.index)
 
     def __contains__(self, token: str) -> bool:
-        return token in self.vectors
+        return token in self.index
 
     def lookup(self, token: str) -> np.ndarray | None:
         """Exact-match lookup; a miss returns None and is not an error."""
-        return self.vectors.get(token)
+        row = self.index.get(token)
+        return None if row is None else self.matrix[row]
 
 
 @dataclass(frozen=True)
@@ -66,34 +75,14 @@ def _is_word2vec_header(line: str) -> bool:
     return True
 
 
-def _parse_vector(parts: list[str], dim: int, line_no: int) -> np.ndarray:
-    if len(parts) != dim:
-        raise EmbeddingFormatError(
-            f"line {line_no}: expected {dim} components, got {len(parts)}"
-        )
-    try:
-        vec = np.array([float(p) for p in parts], dtype=np.float64)
-    except ValueError as exc:
-        raise EmbeddingFormatError(f"line {line_no}: non-numeric component ({exc})") from None
-    if not np.all(np.isfinite(vec)):
-        raise EmbeddingFormatError(f"line {line_no}: non-finite component")
-    return vec
-
-
-def parse_embedding_file(
-    path: str | Path,
-    expected_dim: int | None = None,
-    name: str | None = None,
-    lowercase_keys: bool = False,
-) -> EmbeddingTable:
+def parse_embedding_file(path: str | Path, name: str | None = None) -> EmbeddingTable:
     """Parse a GloVe-text or word2vec-text embedding file.
 
     The format is auto-detected: a first line of exactly two integers is
     taken as a word2vec header, anything else as GloVe. The dimension is
     inferred from the first data line (or the header) and enforced on every
-    line; ``expected_dim``, when given, must agree. With ``lowercase_keys``
-    words are lowercased on load, keeping the first occurrence on collision.
-    Duplicate words always keep their first occurrence.
+    line. Words are lowercased on load. A repeated word is still checked,
+    but its first occurrence is the one kept.
     """
     path = Path(path)
     if name is None:
@@ -103,6 +92,8 @@ def parse_embedding_file(
             lines = fh.read().splitlines()
     except OSError as exc:
         raise EmbeddingFormatError(f"cannot read embedding file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise EmbeddingFormatError(f"embedding file is not valid UTF-8: {path} ({exc})") from None
     if not lines:
         raise EmbeddingFormatError(f"empty embedding file: {path}")
 
@@ -119,52 +110,57 @@ def parse_embedding_file(
                 f"line 1: invalid word2vec header {lines[0]!r}"
             )
         start = 1
+    data = lines[start:]
+    if not data:
+        raise EmbeddingFormatError(f"no vectors in embedding file: {path}")
 
-    vectors: dict[str, np.ndarray] = {}
-    data_lines = 0
-    for line_no, line in enumerate(lines[start:], start=start + 1):
-        if not line.strip():
-            raise EmbeddingFormatError(f"line {line_no}: empty line")
+    # A line's vector goes into the next free row; a repeated word does not
+    # claim that row, so the following line overwrites it.
+    index: dict[str, int] = {}
+    matrix = None if dim is None else np.empty((len(data), dim))
+    for line_no, line in enumerate(data, start=start + 1):
         parts = line.split()
-        word = parts[0]
-        if dim is None:
+        if not parts:
+            raise EmbeddingFormatError(f"line {line_no}: empty line")
+        if matrix is None:
             dim = len(parts) - 1
             if dim < 1:
                 raise EmbeddingFormatError(f"line {line_no}: no vector components")
-        vec = _parse_vector(parts[1:], dim, line_no)
-        data_lines += 1
-        if lowercase_keys:
-            word = word.lower()
-        if word not in vectors:
-            vectors[word] = vec
+            matrix = np.empty((len(data), dim))
+        if len(parts) != dim + 1:
+            raise EmbeddingFormatError(
+                f"line {line_no}: expected {dim} components, got {len(parts) - 1}"
+            )
+        row = len(index)
+        try:
+            matrix[row] = parts[1:]
+        except ValueError as exc:
+            raise EmbeddingFormatError(f"line {line_no}: non-numeric component ({exc})") from None
+        if not np.isfinite(matrix[row]).all():
+            raise EmbeddingFormatError(f"line {line_no}: non-finite component")
+        index.setdefault(parts[0].lower(), row)
 
-    if data_lines == 0:
-        raise EmbeddingFormatError(f"no vectors in embedding file: {path}")
-    if header_vocab is not None and header_vocab != data_lines:
+    if header_vocab is not None and header_vocab != len(data):
         raise EmbeddingFormatError(
-            f"word2vec header declares {header_vocab} words but file has {data_lines}"
+            f"word2vec header declares {header_vocab} words but file has {len(data)}"
         )
-    if expected_dim is not None and dim != expected_dim:
-        raise EmbeddingFormatError(
-            f"embedding dimension is {dim}, expected {expected_dim}"
-        )
-    return EmbeddingTable(name=name, dimension=dim, vectors=vectors, source_format=source_format)
+    return EmbeddingTable(name=name, index=index, matrix=matrix[:len(index)],
+                          source_format=source_format)
 
 
-def write_embedding_file(table: EmbeddingTable, path: str | Path, source_format: str | None = None) -> None:
-    """Write a table back to disk in GloVe or word2vec text format.
+def write_embedding_file(table: EmbeddingTable, path: str | Path) -> None:
+    """Write a table back to disk in its own format (GloVe or word2vec text).
 
     Floats are rendered with repr() so a write/parse round trip is
     bit-identical.
     """
-    fmt = source_format or table.source_format
-    if fmt not in (GLOVE_TEXT, WORD2VEC_TEXT):
-        raise ValueError(f"unknown embedding format {fmt!r}")
+    if table.source_format not in (GLOVE_TEXT, WORD2VEC_TEXT):
+        raise ValueError(f"unknown embedding format {table.source_format!r}")
     with open(path, "w", encoding="utf-8") as fh:
-        if fmt == WORD2VEC_TEXT:
-            fh.write(f"{len(table.vectors)} {table.dimension}\n")
-        for word, vec in table.vectors.items():
-            fh.write(word + " " + " ".join(repr(float(v)) for v in vec) + "\n")
+        if table.source_format == WORD2VEC_TEXT:
+            fh.write(f"{len(table)} {table.dimension}\n")
+        for word, row in table.index.items():
+            fh.write(word + " " + " ".join(map(repr, table.matrix[row].tolist())) + "\n")
 
 
 def vectorize_caption(table: EmbeddingTable, tokens: tuple[str, ...] | list[str]) -> CaptionVector:
@@ -174,18 +170,12 @@ def vectorize_caption(table: EmbeddingTable, tokens: tuple[str, ...] | list[str]
     tokens are skipped and counted; with zero hits the vector is absent.
     """
     total = len(tokens)
-    acc = np.zeros(table.dimension, dtype=np.float64)
-    hits = 0
-    for token in tokens:
-        vec = table.vectors.get(token)
-        if vec is not None:
-            acc += vec
-            hits += 1
-    if hits == 0:
+    rows = [table.index[t] for t in tokens if t in table.index]
+    if not rows:
         return CaptionVector(vector=None, tokens_total=total, tokens_in_vocab=0, coverage=0.0)
     return CaptionVector(
-        vector=acc / hits,
+        vector=table.matrix[rows].sum(axis=0) / len(rows),
         tokens_total=total,
-        tokens_in_vocab=hits,
-        coverage=hits / total,
+        tokens_in_vocab=len(rows),
+        coverage=len(rows) / total,
     )

@@ -101,6 +101,8 @@ class ExperimentConfig:
         for algo in self.algorithms:
             if algo not in ALGORITHMS:
                 raise ConfigError(f"unknown algorithm {algo!r}; valid: {', '.join(ALGORITHMS)}")
+        if len(set(self.algorithms)) != len(self.algorithms):
+            raise ConfigError("duplicate algorithms")
         for topic in self.topics:
             if topic not in _VALID_TOPICS:
                 raise ConfigError(f"unknown topic {topic!r}; valid: {', '.join(_VALID_TOPICS)}")
@@ -112,9 +114,11 @@ class ExperimentConfig:
             raise ConfigError("smote_k must be >= 1")
         if not self.t_values or any(t < 1 for t in self.t_values):
             raise ConfigError("t_values must be positive integers")
-        for algo in self.hyperparams:
-            if algo not in ALGORITHMS:
-                raise ConfigError(f"hyperparameter override for unknown algorithm {algo!r}")
+        for algo, params in self.hyperparams.items():
+            try:
+                AlgorithmSpec(algo, params)
+            except ValueError as exc:
+                raise ConfigError(f"hyperparameter override: {exc}") from None
 
     def tasks(self) -> tuple[str, ...]:
         if self.task == TASK_BOTH:
@@ -488,7 +492,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     topics = _effective_topics(config, records)
     fingerprint = config_fingerprint(config, topics)
     tables = [
-        (name, parse_embedding_file(path, name=name, lowercase_keys=True))
+        (name, parse_embedding_file(path, name=name))
         for name, path in config.embeddings
     ]
 

@@ -50,12 +50,12 @@ def _neighbor_table(points: np.ndarray, k: int) -> list[np.ndarray]:
     """k nearest neighbors (local indices) for every row, self excluded.
 
     Distance ties break toward the lower index, so results are deterministic.
+    Distances are computed one row at a time, so memory grows with n * D.
     """
-    diffs = points[:, None, :] - points[None, :, :]
-    dist2 = np.einsum("ijk,ijk->ij", diffs, diffs)
     neighbors = []
     for i in range(len(points)):
-        order = np.argsort(dist2[i], kind="stable")
+        diffs = points[i] - points
+        order = np.argsort(np.einsum("jk,jk->j", diffs, diffs), kind="stable")
         order = order[order != i]
         neighbors.append(order[:k])
     return neighbors

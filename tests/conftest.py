@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from capsift.embeddings import GLOVE_TEXT, EmbeddingTable
 from capsift.metrics import (
     TASK_BINARY,
     TASK_THREE_CLASS,
@@ -20,6 +21,13 @@ FIXTURES = Path(__file__).parent / "fixtures"
 @pytest.fixture
 def fixtures_dir() -> Path:
     return FIXTURES
+
+
+def make_table(vectors: dict, source_format: str = GLOVE_TEXT, name: str = "t") -> EmbeddingTable:
+    """Embedding table holding ``vectors`` (word -> vector) in insertion order."""
+    return EmbeddingTable(name=name, index={word: row for row, word in enumerate(vectors)},
+                          matrix=np.array(list(vectors.values()), dtype=np.float64),
+                          source_format=source_format)
 
 
 def make_report(model: str, f1: float, embedding: str = "emb",

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_report
+from conftest import make_report, make_table
 from capsift.classifiers import (
     DUMMY,
     AlgorithmSpec,
@@ -24,7 +24,6 @@ from capsift.embeddings import (
     GLOVE_TEXT,
     WORD2VEC_TEXT,
     EmbeddingFormatError,
-    EmbeddingTable,
     parse_embedding_file,
     write_embedding_file,
 )
@@ -351,15 +350,13 @@ def test_acceptance_10_embedding_round_trip(announce, tmp_path):
 
     bit_identical = True
     for fmt, fname in ((GLOVE_TEXT, "rt_glove.txt"), (WORD2VEC_TEXT, "rt_w2v.txt")):
-        table = EmbeddingTable(name="rt", dimension=50, vectors=dict(vectors),
-                               source_format=fmt)
         path = tmp_path / fname
-        write_embedding_file(table, path)
+        write_embedding_file(make_table(vectors, fmt, name="rt"), path)
         back = parse_embedding_file(path)
-        bit_identical &= back.source_format == fmt and len(back) == 1000
+        bit_identical &= back.source_format == fmt and list(back.index) == words
         bit_identical &= all(
-            np.array_equal(back.vectors[w], vectors[w], equal_nan=False)
-            and back.vectors[w].dtype == np.float64
+            np.array_equal(back.lookup(w), vectors[w], equal_nan=False)
+            and back.lookup(w).dtype == np.float64
             for w in words
         )
 

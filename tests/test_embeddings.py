@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from conftest import make_table
 from capsift.embeddings import (
     GLOVE_TEXT,
     WORD2VEC_TEXT,
     EmbeddingFormatError,
-    EmbeddingTable,
     parse_embedding_file,
     vectorize_caption,
     write_embedding_file,
@@ -60,6 +60,9 @@ def test_format_detection_two_integer_first_line(tmp_path):
     ("3 2\nhello 1 2\nworld 3 4\n", None, "header"),
     ("2 2\nhello 1 2\nworld 3 4\nextra 5 6\n", None, "header"),
     ("hello 1.0\n\nworld 2.0\n", 2, "empty line"),
+    ("\nhello 1.0\n", 1, "empty line"),
+    # a repeated word is still checked, though only its first line is kept
+    ("word 1.0 2.0\nword 3.0\n", 2, "expected 2 components"),
 ])
 def test_parse_errors_are_located(tmp_path, text, line_no, fragment):
     path = write(tmp_path, text)
@@ -71,22 +74,26 @@ def test_parse_errors_are_located(tmp_path, text, line_no, fragment):
         assert f"line {line_no}" in message
 
 
-def test_expected_dim_enforced(tmp_path):
-    path = write(tmp_path, "hello 1.0 2.0\n")
-    with pytest.raises(EmbeddingFormatError, match="100"):
-        parse_embedding_file(path, expected_dim=100)
-    assert parse_embedding_file(path, expected_dim=2).dimension == 2
+def test_non_utf8_file_names_the_file(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"caf\xe9 1.0 2.0\n")
+    with pytest.raises(EmbeddingFormatError, match="not valid UTF-8") as err:
+        parse_embedding_file(path)
+    assert str(path) in str(err.value)
 
 
 def test_duplicate_words_keep_first(tmp_path):
-    path = write(tmp_path, "word 1.0\nword 2.0\n")
+    path = write(tmp_path, "word 1.0\nword 2.0\nother 3.0\n")
     table = parse_embedding_file(path)
     assert table.lookup("word")[0] == 1.0
+    assert table.lookup("other")[0] == 3.0
+    # the repeated line claims no row of its own
+    assert table.matrix.shape == (2, 1) and table.matrix.dtype == np.float64
 
 
 def test_lowercase_keys_keep_first(tmp_path):
     path = write(tmp_path, "The 1.0\nthe 2.0\nWorld 3.0\n")
-    table = parse_embedding_file(path, lowercase_keys=True)
+    table = parse_embedding_file(path)
     assert table.lookup("the")[0] == 1.0
     assert table.lookup("world")[0] == 3.0
     assert "The" not in table
@@ -96,15 +103,13 @@ def test_round_trip_bit_identical_both_formats(tmp_path):
     rng = np.random.Generator(np.random.PCG64(7))
     vectors = {f"w{i}": rng.normal(0, 3, 12) for i in range(50)}
     for fmt in (GLOVE_TEXT, WORD2VEC_TEXT):
-        table = EmbeddingTable(name="t", dimension=12, vectors=dict(vectors),
-                               source_format=fmt)
         path = tmp_path / f"{fmt}.txt"
-        write_embedding_file(table, path)
+        write_embedding_file(make_table(vectors, fmt), path)
         back = parse_embedding_file(path)
         assert back.source_format == fmt
-        assert list(back.vectors) == list(vectors)
+        assert list(back.index) == list(vectors)
         for word, vec in vectors.items():
-            assert np.array_equal(back.vectors[word], vec), word
+            assert np.array_equal(back.lookup(word), vec), word
 
 
 def test_missing_file():
@@ -116,11 +121,11 @@ def test_missing_file():
 
 
 def toy_table():
-    return EmbeddingTable(name="toy", dimension=2, vectors={
-        "moon": np.array([1.0, 0.0]),
-        "rocket": np.array([0.0, 1.0]),
-        "cheese": np.array([1.0, 1.0]),
-    }, source_format=GLOVE_TEXT)
+    return make_table({
+        "moon": [1.0, 0.0],
+        "rocket": [0.0, 1.0],
+        "cheese": [1.0, 1.0],
+    }, name="toy")
 
 
 def test_vectorize_caption_mean_and_coverage():
@@ -154,13 +159,36 @@ def test_vectorize_caption_empty_tokens():
     assert cv.coverage == 0.0
 
 
+def loop_reference(table, tokens):
+    """Mean of the in-vocabulary token vectors, added one token at a time."""
+    acc = np.zeros(table.dimension, dtype=np.float64)
+    hits = 0
+    for token in tokens:
+        vec = table.lookup(token)
+        if vec is not None:
+            acc += vec
+            hits += 1
+    return None if hits == 0 else acc / hits
+
+
 def test_vectorize_matches_bruteforce_mean():
     rng = np.random.Generator(np.random.PCG64(3))
-    vocab = {f"w{i}": rng.normal(0, 2, 6) for i in range(30)}
-    table = EmbeddingTable(name="r", dimension=6, vectors=vocab, source_format=GLOVE_TEXT)
-    words = list(vocab) + ["oov1", "oov2"]
-    tokens = [words[rng.integers(len(words))] for _ in range(200)]
-    cv = vectorize_caption(table, tokens)
-    hits = [vocab[t] for t in tokens if t in vocab]
-    assert cv.tokens_in_vocab == len(hits)
-    np.testing.assert_allclose(cv.vector, np.mean(hits, axis=0), rtol=0, atol=1e-12)
+    # numpy adds the gathered rows in token order when D >= 2, so the mean
+    # equals the loop's exactly; a one-column gather is summed pairwise, so
+    # a 1-D table agrees only to rounding.
+    for dim in (1, 2, 6, 50):
+        vocab = {f"w{i}": rng.normal(0, 2, dim) for i in range(30)}
+        table = make_table(vocab, name="r")
+        words = list(vocab)[:20] + ["oov1", "oov2"]
+        for length in (0, 1, 2, 9, 17, 200):
+            tokens = [words[rng.integers(len(words))] for _ in range(length)]
+            cv = vectorize_caption(table, tokens)
+            expected = loop_reference(table, tokens)
+            if expected is None:
+                assert cv.vector is None
+            else:
+                assert cv.tokens_in_vocab == sum(t in vocab for t in tokens)
+                if dim == 1:
+                    np.testing.assert_allclose(cv.vector, expected, rtol=0, atol=1e-12)
+                else:
+                    assert cv.vector.tobytes() == expected.tobytes()

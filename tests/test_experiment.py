@@ -142,6 +142,9 @@ def base_config(**overrides):
         ({"t_values": (0,)}, "t_values"),
         ({"hyperparams": {"perceptron": {"k": 1}}}, "unknown algorithm"),
         ({"topics": ("moon", "vaccines", "moon")}, "duplicate topics"),
+        ({"algorithms": ("knn", "gaussian_nb", "knn")}, "duplicate algorithms"),
+        ({"hyperparams": {"knn": {"k": 0}}}, "knn.k must be >= 1"),
+        ({"hyperparams": {"random_forest": {"trees": 2.5}}}, "trees must be an integer"),
     ],
 )
 def test_config_validation(overrides, fragment):
@@ -321,8 +324,7 @@ def test_single_cell_reproduces_its_rows_of_the_full_sweep(fixture_run, fixture_
     records = [r for r in load_manifest(fixture_config.manifest) if r.topic.value == topic]
     documents, _ = load_corpus(records, fixture_config.captions_root, load_stopwords())
     kept, _ = filter_corpus(documents)
-    table = parse_embedding_file(dict(fixture_config.embeddings)[name], name=name,
-                                 lowercase_keys=True)
+    table = parse_embedding_file(dict(fixture_config.embeddings)[name], name=name)
     prepared, exclusions, skipped = prepare_topic_embedding(
         fixture_config, topic, name, table, kept)
     assert [e.video_id for e in exclusions] == ["moon_oov"] and not skipped
@@ -563,3 +565,21 @@ def test_cli_vectorize_bad_embedding_is_an_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == EXIT_ERROR
     assert "error:" in captured.err
+
+
+def test_cli_non_utf8_embedding_is_an_error(tmp_path, capsys):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"caf\xe9 1.0 2.0\n")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"manifest = {FIXTURES / 'manifest.csv'}\n"
+                   f"captions_root = {FIXTURES}\n"
+                   f"embedding.latin1 = {bad}\n", encoding="utf-8")
+    for argv in (["run", "--config", str(cfg)],
+                 ["vectorize", "--embedding", str(bad), "--captions", str(FIXTURES),
+                  "--manifest", str(FIXTURES / "manifest.csv"),
+                  "--out", str(tmp_path / "v.csv")]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert captured.err.startswith("error: embedding file is not valid UTF-8")
+        assert str(bad) in captured.err

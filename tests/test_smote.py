@@ -1,9 +1,11 @@
 """Synthetic minority oversampling: balance, provenance, determinism."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from capsift.smote import RNG_ALGORITHM, ResampledDataset, SmoteParams, smote
+from capsift.smote import RNG_ALGORITHM, ResampledDataset, SmoteParams, _neighbor_table, smote
 
 
 def brute_force_neighbors(points, i, k):
@@ -126,3 +128,48 @@ def test_singleton_class_is_an_error():
 
 def test_rng_algorithm_identifier():
     assert RNG_ALGORITHM == "numpy-pcg64"
+
+
+def broadcast_neighbor_table(points, k):
+    """Neighbor search over the full n x n x D difference tensor: the form
+    the row-wise search must reproduce exactly."""
+    diffs = points[:, None, :] - points[None, :, :]
+    dist2 = np.einsum("ijk,ijk->ij", diffs, diffs)
+    neighbors = []
+    for i in range(len(points)):
+        order = np.argsort(dist2[i], kind="stable")
+        order = order[order != i]
+        neighbors.append(order[:k])
+    return neighbors
+
+
+@pytest.mark.parametrize("n, dim, k, decimals", [
+    (2, 1, 1, None),
+    (7, 3, 5, None),
+    (40, 8, 5, 0),       # coarse grid: many distance ties
+    (120, 100, 5, None),
+    (300, 2, 10, 1),
+])
+def test_neighbor_table_equals_broadcast_reference(n, dim, k, decimals):
+    rng = np.random.Generator(np.random.PCG64(n))
+    points = rng.normal(0, 2, (n, dim))
+    if decimals is not None:
+        points = np.round(points, decimals)
+    points[n // 2] = points[0]  # an exact duplicate row sits at distance 0
+    got = _neighbor_table(points, k)
+    want = broadcast_neighbor_table(points, k)
+    assert len(got) == len(want) == n
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+def test_neighbor_table_memory_is_linear_in_class_size():
+    # the broadcast form peaks near 275 MB here (600 * 600 * 100 float64)
+    points = np.random.Generator(np.random.PCG64(9)).normal(0, 1, (600, 100))
+    tracemalloc.start()
+    try:
+        _neighbor_table(points, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
