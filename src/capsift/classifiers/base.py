@@ -1,18 +1,17 @@
 """Shared classifier machinery: algorithm specs, standardization, the
-training dispatcher, and the no-skill baseline.
+fitted-model base class, and the no-skill baseline.
 
-Every algorithm trains through ``train(spec, features, labels)`` and returns
-a TrainedModel exposing ``predict`` and ``predict_scores``. Scores are
-per-class confidence values whose row-wise argmax always equals ``predict``
-(ties break toward the lower class label). Models are immutable after
-training and safe for concurrent prediction.
+Every fitted model is a frozen dataclass exposing ``predict`` and
+``predict_scores``. Scores are per-class confidence values whose row-wise
+argmax always equals ``predict`` (ties break toward the lower class label).
+Models are immutable after training and safe for concurrent prediction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, Field, dataclass, field, fields
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -96,6 +95,13 @@ class Scaler:
         return (features - self.mean) / self.std
 
 
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise softmax, shifted by the row maximum for stability."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    return exp / exp.sum(axis=1, keepdims=True)
+
+
 def standardize_fit(features: np.ndarray) -> Scaler:
     """Fit per-feature mean and population std; zero stds become 1 so
     constant features pass through unchanged."""
@@ -110,21 +116,24 @@ def standardize_fit(features: np.ndarray) -> Scaler:
     return Scaler(mean=mean, std=std)
 
 
+@dataclass(frozen=True, eq=False)
 class TrainedModel:
     """Base for all fitted classifiers.
 
-    Subclasses implement ``_scores`` on (scaled) features and the
-    serialization hooks ``_scalars``/``_arrays``/``_restore``.
+    A subclass adds its fitted state as dataclass fields and implements
+    ``_scores`` on (scaled) features. ``state()`` and ``from_state`` are what
+    ``save_model`` and ``load_model`` use; by default they are the subclass's
+    own fields, ndarrays saved as arrays and ints as scalars.
     """
 
-    algorithm: str = ""
+    spec: AlgorithmSpec
+    classes: np.ndarray
+    scaler: Scaler | None
+    n_features: int
 
-    def __init__(self, spec: AlgorithmSpec, classes: np.ndarray, scaler: Scaler | None,
-                 n_features: int):
-        self.spec = spec
-        self.classes = np.asarray(classes, dtype=np.int64)
-        self.scaler = scaler
-        self.n_features = n_features
+    @property
+    def algorithm(self) -> str:
+        return self.spec.algorithm
 
     def _prepare(self, features) -> np.ndarray:
         X = np.asarray(features, dtype=np.float64)
@@ -148,76 +157,43 @@ class TrainedModel:
     def _scores(self, Z: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    # serialization hooks
-    def _scalars(self) -> dict[str, float | int]:
-        return {}
-
-    def _arrays(self) -> dict[str, np.ndarray]:
-        raise NotImplementedError
+    def state(self) -> dict[str, np.ndarray | int]:
+        """Fitted state by name, as saved."""
+        return {f.name: getattr(self, f.name) for f in _own_fields(type(self))}
 
     @classmethod
-    def _restore(cls, spec, classes, scaler, n_features, scalars, arrays) -> "TrainedModel":
-        raise NotImplementedError
+    def from_state(cls, spec, classes, scaler, n_features, state) -> "TrainedModel":
+        """Rebuild a model from its ``state()``; ValueError names any missing
+        or unknown entry."""
+        own = _own_fields(cls)
+        check_state_names(state, {f.name for f in own}, {
+            f.name for f in own if f.default is MISSING and f.default_factory is MISSING})
+        return cls(spec, classes, scaler, n_features, **state)
 
 
+def _own_fields(cls: type[TrainedModel]) -> tuple[Field, ...]:
+    return fields(cls)[len(fields(TrainedModel)):]
+
+
+def check_state_names(state: Mapping, known: set[str], required: set[str]) -> None:
+    problems = [f"missing {name!r}" for name in sorted(required - state.keys())]
+    problems += [f"unknown {name!r}" for name in sorted(state.keys() - known)]
+    if problems:
+        raise ValueError("model state: " + ", ".join(problems))
+
+
+@dataclass(frozen=True, eq=False)
 class DummyMostFrequentModel(TrainedModel):
     """No-skill baseline that always predicts the modal training label."""
 
-    algorithm = DUMMY
-
-    def __init__(self, spec, classes, n_features, modal_index: int):
-        super().__init__(spec, classes, None, n_features)
-        self.modal_index = modal_index
+    modal_index: int
 
     def _scores(self, Z: np.ndarray) -> np.ndarray:
         scores = np.zeros((Z.shape[0], len(self.classes)))
         scores[:, self.modal_index] = 1.0
         return scores
 
-    def _scalars(self):
-        return {"modal_index": self.modal_index}
-
-    def _arrays(self):
-        return {}
-
-    @classmethod
-    def _restore(cls, spec, classes, scaler, n_features, scalars, arrays):
-        return cls(spec, classes, n_features, int(scalars["modal_index"]))
-
 
 def _train_dummy(spec: AlgorithmSpec, X, y_codes, classes) -> DummyMostFrequentModel:
     counts = np.bincount(y_codes, minlength=len(classes))
-    return DummyMostFrequentModel(spec, classes, X.shape[1], int(np.argmax(counts)))
-
-
-_TRAINERS: dict[str, Callable] = {DUMMY: _train_dummy}
-_MODEL_TYPES: dict[str, type[TrainedModel]] = {DUMMY: DummyMostFrequentModel}
-
-
-def register_algorithm(name: str, trainer: Callable, model_type: type[TrainedModel]) -> None:
-    _TRAINERS[name] = trainer
-    _MODEL_TYPES[name] = model_type
-
-
-def train(spec: AlgorithmSpec, features, labels) -> TrainedModel:
-    """Fit the algorithm named by the spec on (features, labels).
-
-    Non-convergence of the gradient-trained models is not an error; the final
-    iterate after the fixed iteration budget is returned.
-    """
-    X = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    if X.ndim != 2:
-        raise ValueError("features must be an N x D matrix")
-    if y.shape != (X.shape[0],):
-        raise ValueError("labels length must match feature rows")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("features contain non-finite values")
-    classes = np.unique(y)
-    if len(classes) < 2:
-        raise ValueError("training requires at least two classes")
-    y_codes = np.searchsorted(classes, y)
-    trainer = _TRAINERS.get(spec.algorithm)
-    if trainer is None:
-        raise ValueError(f"no trainer registered for {spec.algorithm!r}")
-    return trainer(spec, X, y_codes, classes)
+    return DummyMostFrequentModel(spec, classes, None, X.shape[1], int(np.argmax(counts)))

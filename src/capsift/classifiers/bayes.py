@@ -2,22 +2,21 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .base import GAUSSIAN_NB, AlgorithmSpec, TrainedModel, register_algorithm
+from .base import AlgorithmSpec, TrainedModel, softmax
 
 
+@dataclass(frozen=True, eq=False)
 class GaussianNbModel(TrainedModel):
     """Per-class feature means/variances and log-priors; scores are the
     normalized posterior probabilities."""
 
-    algorithm = GAUSSIAN_NB
-
-    def __init__(self, spec, classes, means, variances, log_priors):
-        super().__init__(spec, classes, None, means.shape[1])
-        self.means = means
-        self.variances = variances
-        self.log_priors = log_priors
+    means: np.ndarray
+    variances: np.ndarray
+    log_priors: np.ndarray
 
     def _scores(self, Z: np.ndarray) -> np.ndarray:
         k = len(self.classes)
@@ -28,16 +27,7 @@ class GaussianNbModel(TrainedModel):
             loglik[:, c] = self.log_priors[c] - 0.5 * (
                 np.log(2.0 * np.pi * var) + diff ** 2 / var
             ).sum(axis=1)
-        shifted = loglik - loglik.max(axis=1, keepdims=True)
-        exp = np.exp(shifted)
-        return exp / exp.sum(axis=1, keepdims=True)
-
-    def _arrays(self):
-        return {"means": self.means, "variances": self.variances, "log_priors": self.log_priors}
-
-    @classmethod
-    def _restore(cls, spec, classes, scaler, n_features, scalars, arrays):
-        return cls(spec, classes, arrays["means"], arrays["variances"], arrays["log_priors"])
+        return softmax(loglik)
 
 
 def _train_gaussian_nb(spec: AlgorithmSpec, X, y_codes, classes):
@@ -57,7 +47,4 @@ def _train_gaussian_nb(spec: AlgorithmSpec, X, y_codes, classes):
         means[c] = rows.mean(axis=0)
         variances[c] = rows.var(axis=0) + eps
         log_priors[c] = np.log(len(rows) / n)
-    return GaussianNbModel(spec, classes, means, variances, log_priors)
-
-
-register_algorithm(GAUSSIAN_NB, _train_gaussian_nb, GaussianNbModel)
+    return GaussianNbModel(spec, classes, None, d, means, variances, log_priors)

@@ -4,11 +4,12 @@ feature subsampling per split)."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Sequence
 
 import numpy as np
 
-from .base import RANDOM_FOREST, AlgorithmSpec, TrainedModel, register_algorithm
+from .base import AlgorithmSpec, TrainedModel, check_state_names
 
 
 @dataclass
@@ -135,14 +136,15 @@ def grow_tree(X, y_codes, n_classes, rng, max_depth, min_leaf, n_split_features)
     return builder.finish()
 
 
+@dataclass(frozen=True, eq=False)
 class RandomForestModel(TrainedModel):
-    """Ensemble of CART trees; scores are the per-class tree-vote fractions."""
+    """Ensemble of CART trees; scores are the per-class tree-vote fractions.
 
-    algorithm = RANDOM_FOREST
+    Saved as an ``n_trees`` scalar plus one ``tree{i}_<field>`` array per
+    DecisionTree field.
+    """
 
-    def __init__(self, spec, classes, n_features, trees: list[DecisionTree]):
-        super().__init__(spec, classes, None, n_features)
-        self.trees = trees
+    trees: Sequence[DecisionTree]
 
     def _scores(self, Z: np.ndarray) -> np.ndarray:
         k = len(self.classes)
@@ -151,31 +153,20 @@ class RandomForestModel(TrainedModel):
             votes[np.arange(Z.shape[0]), tree.votes(Z)] += 1.0
         return votes / len(self.trees)
 
-    def _scalars(self):
-        return {"n_trees": len(self.trees)}
-
-    def _arrays(self):
-        arrays = {}
+    def state(self):
+        state = {"n_trees": len(self.trees)}
         for i, tree in enumerate(self.trees):
-            arrays[f"tree{i}_feature"] = tree.feature
-            arrays[f"tree{i}_threshold"] = tree.threshold
-            arrays[f"tree{i}_left"] = tree.left
-            arrays[f"tree{i}_right"] = tree.right
-            arrays[f"tree{i}_counts"] = tree.counts
-        return arrays
+            state.update({f"tree{i}_{f.name}": getattr(tree, f.name) for f in fields(tree)})
+        return state
 
     @classmethod
-    def _restore(cls, spec, classes, scaler, n_features, scalars, arrays):
-        trees = []
-        for i in range(int(scalars["n_trees"])):
-            trees.append(DecisionTree(
-                feature=arrays[f"tree{i}_feature"].astype(np.int64),
-                threshold=arrays[f"tree{i}_threshold"],
-                left=arrays[f"tree{i}_left"].astype(np.int64),
-                right=arrays[f"tree{i}_right"].astype(np.int64),
-                counts=arrays[f"tree{i}_counts"].astype(np.int64),
-            ))
-        return cls(spec, classes, n_features, trees)
+    def from_state(cls, spec, classes, scaler, n_features, state):
+        names = [[f"tree{i}_{f.name}" for f in fields(DecisionTree)]
+                 for i in range(state.get("n_trees", 0))]
+        expected = {"n_trees", *(name for tree in names for name in tree)}
+        check_state_names(state, expected, expected)
+        trees = tuple(DecisionTree(*(state[name] for name in tree)) for tree in names)
+        return cls(spec, classes, scaler, n_features, trees)
 
 
 def _train_random_forest(spec: AlgorithmSpec, X, y_codes, classes):
@@ -192,7 +183,4 @@ def _train_random_forest(spec: AlgorithmSpec, X, y_codes, classes):
         idx = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
         trees.append(grow_tree(X[idx], y_codes[idx], len(classes), rng,
                                max_depth, min_leaf, n_split))
-    return RandomForestModel(spec, classes, d, trees)
-
-
-register_algorithm(RANDOM_FOREST, _train_random_forest, RandomForestModel)
+    return RandomForestModel(spec, classes, None, d, tuple(trees))

@@ -3,20 +3,13 @@ regression and a one-vs-rest hinge-loss SVM."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
-from .base import (
-    LINEAR_SVM, LOGISTIC_REGRESSION, AlgorithmSpec, TrainedModel,
-    register_algorithm, standardize_fit,
-)
+from .base import AlgorithmSpec, TrainedModel, softmax, standardize_fit
 
 _MIN_STEP = 1e-12
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
 
 
 def cross_entropy_loss_and_grad(weights, bias, X, onehot, l2):
@@ -37,26 +30,18 @@ def cross_entropy_loss_and_grad(weights, bias, X, onehot, l2):
     return loss, grad_w, grad_b
 
 
+@dataclass(frozen=True, eq=False)
 class LogisticRegressionModel(TrainedModel):
-    """Multinomial softmax classifier; scores are class probabilities."""
+    """Multinomial softmax classifier; scores are class probabilities.
+    ``loss_history`` is the training loss per accepted step (empty in files
+    saved before it was kept)."""
 
-    algorithm = LOGISTIC_REGRESSION
-
-    def __init__(self, spec, classes, scaler, weights, bias, loss_history=()):
-        super().__init__(spec, classes, scaler, weights.shape[1])
-        self.weights = weights
-        self.bias = bias
-        self.loss_history = tuple(loss_history)
+    weights: np.ndarray
+    bias: np.ndarray
+    loss_history: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def _scores(self, Z: np.ndarray) -> np.ndarray:
         return softmax(Z @ self.weights.T + self.bias)
-
-    def _arrays(self):
-        return {"weights": self.weights, "bias": self.bias}
-
-    @classmethod
-    def _restore(cls, spec, classes, scaler, n_features, scalars, arrays):
-        return cls(spec, classes, scaler, arrays["weights"], arrays["bias"])
 
 
 def _train_logistic_regression(spec: AlgorithmSpec, X, y_codes, classes):
@@ -94,28 +79,18 @@ def _train_logistic_regression(spec: AlgorithmSpec, X, y_codes, classes):
             break
         W, b, loss, gw, gb = W_new, b_new, loss_new, gw_new, gb_new
         history.append(loss)
-    return LogisticRegressionModel(spec, classes, scaler, W, b, history)
+    return LogisticRegressionModel(spec, classes, scaler, d, W, b, np.array(history))
 
 
+@dataclass(frozen=True, eq=False)
 class LinearSvmModel(TrainedModel):
     """One hinge-loss linear model per class; scores are the raw margins."""
 
-    algorithm = LINEAR_SVM
-
-    def __init__(self, spec, classes, scaler, weights, bias):
-        super().__init__(spec, classes, scaler, weights.shape[1])
-        self.weights = weights
-        self.bias = bias
+    weights: np.ndarray
+    bias: np.ndarray
 
     def _scores(self, Z: np.ndarray) -> np.ndarray:
         return Z @ self.weights.T + self.bias
-
-    def _arrays(self):
-        return {"weights": self.weights, "bias": self.bias}
-
-    @classmethod
-    def _restore(cls, spec, classes, scaler, n_features, scalars, arrays):
-        return cls(spec, classes, scaler, arrays["weights"], arrays["bias"])
 
 
 def _train_linear_svm(spec: AlgorithmSpec, X, y_codes, classes):
@@ -144,8 +119,4 @@ def _train_linear_svm(spec: AlgorithmSpec, X, y_codes, classes):
             w0 = w0 - lr * grad_b
         W[cls_idx] = w
         b[cls_idx] = w0
-    return LinearSvmModel(spec, classes, scaler, W, b)
-
-
-register_algorithm(LOGISTIC_REGRESSION, _train_logistic_regression, LogisticRegressionModel)
-register_algorithm(LINEAR_SVM, _train_linear_svm, LinearSvmModel)
+    return LinearSvmModel(spec, classes, scaler, d, W, b)

@@ -1,5 +1,7 @@
 """Versioned flat-text persistence for trained models.
 
+A file holds the model's header fields, then its ``state()``: ints as
+``scalar`` lines and ndarrays as ``array`` blocks, each group sorted by name.
 Floats are rendered with ``repr`` so a save/load round trip reproduces the
 exact same parameter values and therefore identical predictions.
 """
@@ -10,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .base import _MODEL_TYPES, AlgorithmSpec, Scaler, TrainedModel
+from .base import AlgorithmSpec, Scaler, TrainedModel
 
 FORMAT_MAGIC = "capsift-model"
 FORMAT_VERSION = 1
@@ -23,9 +25,7 @@ class ModelFormatError(ValueError):
 
 
 def _render(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, np.integer, np.bool_)):
         return str(int(value))
     return repr(float(value))
 
@@ -63,12 +63,12 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
     if model.scaler is not None:
         lines.extend(_array_lines("scaler_mean", model.scaler.mean))
         lines.extend(_array_lines("scaler_std", model.scaler.std))
-    scalars = model._scalars()
-    for key in sorted(scalars):
-        lines.append(f"scalar {key} {_render(scalars[key])}")
-    arrays = model._arrays()
+    state = model.state()
+    arrays = {key for key, value in state.items() if isinstance(value, np.ndarray)}
+    for key in sorted(state.keys() - arrays):
+        lines.append(f"scalar {key} {_render(state[key])}")
     for key in sorted(arrays):
-        lines.extend(_array_lines(key, arrays[key]))
+        lines.extend(_array_lines(key, state[key]))
     lines.append("end")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -76,7 +76,10 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
 class _Reader:
     def __init__(self, path: Path):
         self.path = path
-        self.lines = path.read_text(encoding="utf-8").splitlines()
+        try:
+            self.lines = path.read_text(encoding="utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            raise ModelFormatError(f"{path}: not valid UTF-8 ({exc})") from None
         self.pos = 0
 
     def next(self) -> str:
@@ -120,6 +123,8 @@ def _read_array(reader: _Reader, parts: list[str]) -> tuple[str, np.ndarray]:
 
 def load_model(path: str | Path) -> TrainedModel:
     """Read a model file back into a ready-to-predict model."""
+    from . import MODELS
+
     reader = _Reader(Path(path))
     header = reader.next().split()
     if len(header) != 2 or header[0] != FORMAT_MAGIC:
@@ -133,8 +138,7 @@ def load_model(path: str | Path) -> TrainedModel:
     classes = None
     hyperparams: dict[str, float | int] = {}
     has_scaler = False
-    scalars: dict[str, float | int] = {}
-    arrays: dict[str, np.ndarray] = {}
+    state: dict[str, np.ndarray | int] = {}
 
     while True:
         parts = reader.next().split()
@@ -157,10 +161,10 @@ def load_model(path: str | Path) -> TrainedModel:
             elif keyword == "scaler":
                 has_scaler = bool(int(parts[1]))
             elif keyword == "scalar":
-                scalars[parts[1]] = parse_number(parts[2])
+                state[parts[1]] = int(parts[2])
             elif keyword == "array":
                 name, arr = _read_array(reader, parts)
-                arrays[name] = arr
+                state[name] = arr
             else:
                 raise reader.error(f"unknown keyword {keyword!r}")
         except (IndexError, ValueError) as exc:
@@ -170,13 +174,13 @@ def load_model(path: str | Path) -> TrainedModel:
 
     if algorithm is None or n_features is None or classes is None:
         raise reader.error("missing algorithm, n_features, or classes")
-    model_type = _MODEL_TYPES.get(algorithm)
-    if model_type is None:
-        raise ModelFormatError(f"{reader.path}: unknown algorithm {algorithm!r}")
     scaler = None
     if has_scaler:
-        if "scaler_mean" not in arrays or "scaler_std" not in arrays:
+        if "scaler_mean" not in state or "scaler_std" not in state:
             raise ModelFormatError(f"{reader.path}: scaler flagged but arrays missing")
-        scaler = Scaler(mean=arrays.pop("scaler_mean"), std=arrays.pop("scaler_std"))
-    spec = AlgorithmSpec(algorithm=algorithm, hyperparams=hyperparams, seed=seed)
-    return model_type._restore(spec, classes, scaler, n_features, scalars, arrays)
+        scaler = Scaler(mean=state.pop("scaler_mean"), std=state.pop("scaler_std"))
+    try:
+        spec = AlgorithmSpec(algorithm=algorithm, hyperparams=hyperparams, seed=seed)
+        return MODELS[algorithm][1].from_state(spec, classes, scaler, n_features, state)
+    except ValueError as exc:
+        raise ModelFormatError(f"{reader.path}: {exc}") from None

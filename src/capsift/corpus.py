@@ -9,6 +9,7 @@ too short or unlikely to be English.
 from __future__ import annotations
 
 import csv
+import io
 import re
 from dataclasses import dataclass
 from enum import Enum, IntEnum
@@ -122,45 +123,48 @@ def _parse_count(value: str, column: str, line: int) -> int | None:
 def load_manifest(path: str | Path) -> list[VideoRecord]:
     """Read the manifest CSV into VideoRecords.
 
-    Raises CorpusError for a missing file, a malformed row (reported with its
-    line number), or a duplicate video_id.
+    Raises CorpusError for a missing file, invalid UTF-8, a malformed row
+    (reported with its line number), or a duplicate video_id.
     """
     path = Path(path)
     if not path.is_file():
         raise CorpusError(f"manifest not found: {path}")
     records: list[VideoRecord] = []
     seen: set[str] = set()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise CorpusError(f"manifest has no header row: {path}")
-        missing = [c for c in MANIFEST_HEADER if c not in reader.fieldnames]
-        if missing:
-            raise CorpusError(f"manifest missing columns: {', '.join(missing)}")
-        for line, row in enumerate(reader, start=2):
-            video_id = (row["video_id"] or "").strip()
-            if not video_id:
-                raise CorpusError(f"manifest line {line}: empty video_id")
-            if video_id in seen:
-                raise CorpusError(f"manifest line {line}: duplicate video_id {video_id!r}")
-            seen.add(video_id)
-            try:
-                topic = Topic((row["topic"] or "").strip())
-            except ValueError:
-                raise CorpusError(
-                    f"manifest line {line}: unknown topic {row['topic']!r}"
-                ) from None
-            try:
-                label = Label(int((row["label"] or "").strip()))
-            except ValueError:
-                raise CorpusError(
-                    f"manifest line {line}: unknown label {row['label']!r}"
-                ) from None
-            caption_path = (row["caption_path"] or "").strip()
-            if not caption_path:
-                raise CorpusError(f"manifest line {line}: empty caption_path")
-            counts = {c: _parse_count(row[c] or "", c, line) for c in COUNT_FIELDS}
-            records.append(VideoRecord(video_id, topic, label, caption_path, **counts))
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"manifest is not valid UTF-8: {path} ({exc})") from None
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    if reader.fieldnames is None:
+        raise CorpusError(f"manifest has no header row: {path}")
+    missing = [c for c in MANIFEST_HEADER if c not in reader.fieldnames]
+    if missing:
+        raise CorpusError(f"manifest missing columns: {', '.join(missing)}")
+    for line, row in enumerate(reader, start=2):
+        video_id = (row["video_id"] or "").strip()
+        if not video_id:
+            raise CorpusError(f"manifest line {line}: empty video_id")
+        if video_id in seen:
+            raise CorpusError(f"manifest line {line}: duplicate video_id {video_id!r}")
+        seen.add(video_id)
+        try:
+            topic = Topic((row["topic"] or "").strip())
+        except ValueError:
+            raise CorpusError(
+                f"manifest line {line}: unknown topic {row['topic']!r}"
+            ) from None
+        try:
+            label = Label(int((row["label"] or "").strip()))
+        except ValueError:
+            raise CorpusError(
+                f"manifest line {line}: unknown label {row['label']!r}"
+            ) from None
+        caption_path = (row["caption_path"] or "").strip()
+        if not caption_path:
+            raise CorpusError(f"manifest line {line}: empty caption_path")
+        counts = {c: _parse_count(row[c] or "", c, line) for c in COUNT_FIELDS}
+        records.append(VideoRecord(video_id, topic, label, caption_path, **counts))
     return records
 
 

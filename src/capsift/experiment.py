@@ -167,6 +167,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not valid UTF-8: {path} ({exc})") from None
     base = path.parent
 
     def resolve(p: str) -> Path:

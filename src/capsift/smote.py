@@ -12,10 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# RNG algorithm identifier, recorded in run metadata for reproducibility.
-RNG_ALGORITHM = "numpy-pcg64"
-
-
 @dataclass(frozen=True)
 class SmoteParams:
     k_neighbors: int = 5

@@ -1,5 +1,8 @@
 """Classifier suite: training, prediction invariants, persistence."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from capsift.classifiers import (
     KNN,
     LINEAR_SVM,
     LOGISTIC_REGRESSION,
+    MODELS,
     NEAREST_CENTROID,
     RANDOM_FOREST,
     AlgorithmSpec,
@@ -57,6 +61,7 @@ def test_spec_rejects_unknown_and_invalid_hyperparams():
 
 def test_spec_defaults_cover_every_algorithm():
     assert set(DEFAULT_HYPERPARAMS) == set(ALGORITHMS)
+    assert set(MODELS) == set(ALGORITHMS)
     spec = AlgorithmSpec(RANDOM_FOREST, {"trees": 10})
     resolved = spec.resolved()
     assert resolved["trees"] == 10
@@ -285,6 +290,18 @@ def test_dummy_modal_tie_prefers_lower_class():
 # --- persistence --------------------------------------------------------------
 
 
+# Files written by an earlier release; see generate_models.py in that directory.
+MODEL_FIXTURES = Path(__file__).parent / "fixtures" / "models"
+
+
+def _model_generator():
+    spec = importlib.util.spec_from_file_location(
+        "generate_models", MODEL_FIXTURES / "generate_models.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.mark.parametrize("algo", ALGORITHMS)
 def test_save_load_round_trip(algo, tmp_path):
     X, y = blobs(seed=19)
@@ -297,24 +314,49 @@ def test_save_load_round_trip(algo, tmp_path):
     assert np.array_equal(back.classes, model.classes)
     assert np.array_equal(back.predict_scores(Q), model.predict_scores(Q))
     assert np.array_equal(back.predict(Q), model.predict(Q))
+    state = model.state()
+    assert back.state().keys() == state.keys()
+    assert all(np.array_equal(back.state()[name], value) for name, value in state.items())
 
 
 def test_load_model_errors_are_located(tmp_path):
+    knn = (MODEL_FIXTURES / "knn.model").read_text(encoding="utf-8")
+    points = knn.index("array points")
+    rows = [
+        (b"not-a-model 1\n", "line 1"),
+        (b"capsift-model 999\nend\n", "version"),
+        (b"capsift-model 1\nalgorithm knn\nend\n", "missing"),
+        (b"capsift-model 1\nalgorithm knn\nn_features 2\nclasses 0 1\n"
+         b"array train_x float64 2 2 2\n1.0 2.0\n", "line"),
+        (b"capsift-model 1\nalgorithm kn\xe9\n", "not valid UTF-8"),
+        ((knn[:points] + "end\n").encode(), "missing 'points'"),
+        (knn.replace("scalar k 5\n", "scalar k 5\nscalar leaf_size 30\n").encode(),
+         "unknown 'leaf_size'"),
+        (knn.replace("scaler 1\n", "hyperparam k 0\nscaler 1\n").encode(), "k must be >= 1"),
+    ]
     path = tmp_path / "m.model"
-    path.write_text("not-a-model 1\n", encoding="utf-8")
-    with pytest.raises(ModelFormatError, match="line 1"):
-        load_model(path)
-    path.write_text("capsift-model 999\nend\n", encoding="utf-8")
-    with pytest.raises(ModelFormatError, match="version"):
-        load_model(path)
-    path.write_text("capsift-model 1\nalgorithm knn\nend\n", encoding="utf-8")
-    with pytest.raises(ModelFormatError, match="missing"):
-        load_model(path)
-    path.write_text(
-        "capsift-model 1\nalgorithm knn\nn_features 2\nclasses 0 1\n"
-        "array train_x float64 2 2 2\n1.0 2.0\n", encoding="utf-8")
-    with pytest.raises(ModelFormatError, match="line"):
-        load_model(path)
+    for content, fragment in rows:
+        path.write_bytes(content)
+        with pytest.raises(ModelFormatError, match=fragment) as info:
+            load_model(path)
+        assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_saved_model_files_still_load(algo, tmp_path):
+    generator = _model_generator()
+    fresh = train(generator.SPECS[algo], *generator.training_data())
+    saved = MODEL_FIXTURES / f"{algo}.model"
+    model = load_model(saved)
+    Q = np.random.Generator(np.random.PCG64(22)).normal(1, 3, (40, 3))
+    assert np.array_equal(model.predict_scores(Q), fresh.predict_scores(Q))
+    resaved = tmp_path / "resaved.model"
+    save_model(model, resaved)
+    assert np.array_equal(load_model(resaved).predict_scores(Q), fresh.predict_scores(Q))
+    if algo == LOGISTIC_REGRESSION:  # files now also carry loss_history
+        assert model.loss_history.shape == (0,)
+    else:
+        assert resaved.read_bytes() == saved.read_bytes()
 
 
 def test_standardize_fit_population_std_and_zero_guard():

@@ -583,3 +583,23 @@ def test_cli_non_utf8_embedding_is_an_error(tmp_path, capsys):
         assert code == EXIT_ERROR
         assert captured.err.startswith("error: embedding file is not valid UTF-8")
         assert str(bad) in captured.err
+
+
+def test_cli_non_utf8_manifest_or_config_is_an_error(tmp_path, capsys):
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_bytes((FIXTURES / "manifest.csv").read_bytes() + b"caf\xe9\n")
+    body = f"captions_root = {FIXTURES}\nembedding.toy16 = {FIXTURES / 'embeddings' / 'toy16_glove.txt'}\n"
+    bad_manifest_cfg = tmp_path / "bad_manifest.cfg"
+    bad_manifest_cfg.write_text(f"manifest = {manifest}\n" + body, encoding="utf-8")
+    bad_cfg = tmp_path / "bad.cfg"
+    bad_cfg.write_bytes(b"# caf\xe9\n" + f"manifest = {FIXTURES / 'manifest.csv'}\n{body}".encode())
+    cases = (
+        (["stats", "--manifest", str(manifest), "--field", "views"], manifest, "manifest"),
+        (["run", "--config", str(bad_manifest_cfg)], manifest, "manifest"),
+        (["run", "--config", str(bad_cfg)], bad_cfg, "config"),
+    )
+    for argv, bad, what in cases:
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert captured.err.startswith(f"error: {what} is not valid UTF-8: {bad}")

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from capsift.smote import RNG_ALGORITHM, ResampledDataset, SmoteParams, _neighbor_table, smote
+from capsift.smote import ResampledDataset, SmoteParams, _neighbor_table, smote
 
 
 def brute_force_neighbors(points, i, k):
@@ -124,10 +124,6 @@ def test_singleton_class_is_an_error():
     y = np.array([0, 0, 5])
     with pytest.raises(ValueError, match="5"):
         smote(X, y, SmoteParams(seed=0))
-
-
-def test_rng_algorithm_identifier():
-    assert RNG_ALGORITHM == "numpy-pcg64"
 
 
 def broadcast_neighbor_table(points, k):
