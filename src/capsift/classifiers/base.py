@@ -9,6 +9,7 @@ Models are immutable after training and safe for concurrent prediction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import MISSING, Field, dataclass, field, fields
 from types import MappingProxyType
 from typing import Mapping
@@ -70,6 +71,8 @@ class AlgorithmSpec:
             if key not in defaults:
                 raise ValueError(f"{self.algorithm} has no hyperparameter {key!r}")
             minimum, strict, integral = _HYPERPARAM_RULES[key]
+            if not math.isfinite(value):
+                raise ValueError(f"{self.algorithm}.{key} must be finite, got {value!r}")
             if integral and int(value) != value:
                 raise ValueError(f"{self.algorithm}.{key} must be an integer, got {value!r}")
             if (value <= minimum) if strict else (value < minimum):
@@ -163,10 +166,10 @@ class TrainedModel:
 
     @classmethod
     def from_state(cls, spec, classes, scaler, n_features, state) -> "TrainedModel":
-        """Rebuild a model from its ``state()``; ValueError names any missing
-        or unknown entry."""
+        """Rebuild a model from its ``state()``; ValueError names any missing,
+        unknown or wrong-kind entry."""
         own = _own_fields(cls)
-        check_state_names(state, {f.name for f in own}, {
+        check_state(state, {f.name: int if f.type == "int" else np.ndarray for f in own}, {
             f.name for f in own if f.default is MISSING and f.default_factory is MISSING})
         return cls(spec, classes, scaler, n_features, **state)
 
@@ -175,9 +178,14 @@ def _own_fields(cls: type[TrainedModel]) -> tuple[Field, ...]:
     return fields(cls)[len(fields(TrainedModel)):]
 
 
-def check_state_names(state: Mapping, known: set[str], required: set[str]) -> None:
-    problems = [f"missing {name!r}" for name in sorted(required - state.keys())]
-    problems += [f"unknown {name!r}" for name in sorted(state.keys() - known)]
+def check_state(state: Mapping, kinds: Mapping[str, type], required: set[str]) -> None:
+    """Reject missing, unknown and wrong-kind entries; ``kinds`` maps each
+    known name to ``int`` (a scalar) or ``np.ndarray`` (an array)."""
+    problems = [f"{name!r} must be {'a scalar' if kind is int else 'an array'}"
+                for name, kind in sorted(kinds.items())
+                if name in state and not isinstance(state[name], kind)]
+    problems += [f"missing {name!r}" for name in sorted(required - state.keys())]
+    problems += [f"unknown {name!r}" for name in sorted(state.keys() - kinds.keys())]
     if problems:
         raise ValueError("model state: " + ", ".join(problems))
 

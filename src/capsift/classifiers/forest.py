@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .base import AlgorithmSpec, TrainedModel, check_state_names
+from .base import AlgorithmSpec, TrainedModel, check_state
 
 
 @dataclass
@@ -161,10 +161,11 @@ class RandomForestModel(TrainedModel):
 
     @classmethod
     def from_state(cls, spec, classes, scaler, n_features, state):
+        n_trees = state.get("n_trees")
         names = [[f"tree{i}_{f.name}" for f in fields(DecisionTree)]
-                 for i in range(state.get("n_trees", 0))]
-        expected = {"n_trees", *(name for tree in names for name in tree)}
-        check_state_names(state, expected, expected)
+                 for i in range(n_trees if isinstance(n_trees, int) else 0)]
+        kinds = {"n_trees": int, **{name: np.ndarray for tree in names for name in tree}}
+        check_state(state, kinds, set(kinds))
         trees = tuple(DecisionTree(*(state[name] for name in tree)) for tree in names)
         return cls(spec, classes, scaler, n_features, trees)
 

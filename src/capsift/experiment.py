@@ -37,7 +37,6 @@ from .metrics import (
     EvaluationReport,
     embedding_performance,
     evaluate_predictions,
-    rank_models,
     report_csv_row,
 )
 from .smote import SmoteParams, smote
@@ -335,35 +334,16 @@ class SkippedCell:
     reason: str
 
 
-@dataclass(frozen=True)
-class ScoreRow:
-    topic: str
-    task: str
-    score: EmbeddingScore
-
-
-@dataclass(frozen=True)
-class SplitAudit:
-    """Train/test video-id membership for one (topic, embedding) split,
-    shared by both tasks."""
-
-    topic: str
-    embedding: str
-    train_ids: tuple[str, ...]
-    test_ids: tuple[str, ...]
-
-
 @dataclass
 class RunResult:
     fingerprint: str
     config: ExperimentConfig
     topics: tuple[str, ...]
     reports: list[EvaluationReport]
-    embedding_scores: list[ScoreRow]
+    embedding_scores: list[EmbeddingScore]
     best_models: list[EvaluationReport]
     exclusions: list[Exclusion]
     skipped: list[SkippedCell]
-    split_audits: list[SplitAudit]
 
 
 def _effective_topics(config: ExperimentConfig, records) -> tuple[str, ...]:
@@ -381,7 +361,6 @@ class PreparedSplit:
     labels: np.ndarray
     train_idx: np.ndarray
     test_idx: np.ndarray
-    audit: SplitAudit
 
 
 def prepare_topic_embedding(
@@ -394,7 +373,7 @@ def prepare_topic_embedding(
     exclusions. When no caption is covered, or a class has fewer than 2
     members, the (topic, embedding) is skipped and ``prepared`` is None.
     """
-    rows, labels, ids = [], [], []
+    rows, labels = [], []
     exclusions: list[Exclusion] = []
     for doc in kept:
         cv = vectorize_caption(table, doc.tokens)
@@ -407,7 +386,6 @@ def prepare_topic_embedding(
             continue
         rows.append(cv.vector)
         labels.append(int(doc.record.label))
-        ids.append(doc.record.video_id)
     if not rows:
         return None, exclusions, [SkippedCell(
             topic, "*", name, "*", "no caption had embedding coverage")]
@@ -420,12 +398,7 @@ def prepare_topic_embedding(
             "too small to split")]
     split_seed = derive_seed(config.seed, topic, "split", name)
     train_idx, test_idx = stratified_split(y3, config.test_fraction, split_seed)
-    audit = SplitAudit(
-        topic=topic, embedding=name,
-        train_ids=tuple(ids[i] for i in train_idx),
-        test_ids=tuple(ids[i] for i in test_idx),
-    )
-    return PreparedSplit(np.vstack(rows), y3, train_idx, test_idx, audit), exclusions, []
+    return PreparedSplit(np.vstack(rows), y3, train_idx, test_idx), exclusions, []
 
 
 def run_cell(
@@ -434,10 +407,11 @@ def run_cell(
     """Balance one (topic, task, embedding) cell with SMOTE, then train and
     evaluate every configured algorithm on it.
 
-    Returns (ranked reports, skipped). A training split with a single class,
-    or with a class too small to balance, skips the whole cell. A model
-    whose training raises ValueError (degenerate data) is skipped alone;
-    any other exception is a programming error and propagates.
+    Returns (reports in sweep order, skipped). A training split with a
+    single class, or with a class too small to balance, skips the whole
+    cell. A model whose training raises ValueError (degenerate data) is
+    skipped alone; any other exception is a programming error and
+    propagates.
     """
     y = prepared.labels if task == TASK_THREE_CLASS else binarize_labels(prepared.labels)
     y_train, y_test = y[prepared.train_idx], y[prepared.test_idx]
@@ -474,10 +448,8 @@ def run_cell(
             col = int(np.flatnonzero(model.classes == 1)[0])
             positive = model.predict_scores(X_test)[:, col]
         reports.append(evaluate_predictions(
-            algo, name, task, y_test, y_pred, eval_classes,
-            positive_scores=positive, topic=topic, seed=model_seed,
-        ))
-    return (rank_models(reports) if reports else []), skipped
+            topic, task, name, algo, model_seed, y_test, y_pred, eval_classes, positive))
+    return reports, skipped
 
 
 def run_experiment(config: ExperimentConfig) -> RunResult:
@@ -501,7 +473,6 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     reports: list[EvaluationReport] = []
     exclusions: list[Exclusion] = []
     skipped: list[SkippedCell] = []
-    split_audits: list[SplitAudit] = []
     for topic in topics:
         topic_records = [r for r in records if r.topic.value == topic]
         if not topic_records:
@@ -520,34 +491,29 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
             skipped.extend(skips)
             if prepared is None:
                 continue
-            split_audits.append(prepared.audit)
             for task in config.tasks():
-                ranked, skips = run_cell(config, topic, task, name, prepared)
-                reports.extend(ranked)
+                cell_reports, skips = run_cell(config, topic, task, name, prepared)
+                reports.extend(cell_reports)
                 skipped.extend(skips)
 
-    reports.sort(key=lambda r: (r.topic or "", r.task, r.embedding, r.model))
-    score_rows: list[ScoreRow] = []
-    best_models: list[EvaluationReport] = []
-    for (topic, task), group in itertools.groupby(reports, key=lambda r: (r.topic, r.task)):
-        pool = [r for r in group if r.model != DUMMY]
-        if not pool:
-            continue
-        for t in config.t_values:
-            score_rows.extend(ScoreRow(topic, task, s) for s in embedding_performance(pool, t))
-        best_models.append(min(pool, key=lambda r: (-r.f1_weighted, r.model, r.embedding)))
-    score_rows.sort(key=lambda s: (s.topic, s.task, s.score.embedding, s.score.top_t))
-    best_models.sort(key=lambda r: (r.task, r.topic or ""))
+    reports.sort(key=lambda r: (r.topic, r.task, r.embedding, r.model))
+    pool = [r for r in reports if r.model != DUMMY]
+    scores = [s for t in config.t_values for s in embedding_performance(pool, t)] if pool else []
+    scores.sort(key=lambda s: (s.topic, s.task, s.embedding, s.top_t))
+    best_models = [
+        min(group, key=lambda r: (-r.f1_weighted, r.model, r.embedding))
+        for _, group in itertools.groupby(pool, key=lambda r: (r.topic, r.task))
+    ]
+    best_models.sort(key=lambda r: (r.task, r.topic))
     return RunResult(
         fingerprint=fingerprint,
         config=config,
         topics=topics,
         reports=reports,
-        embedding_scores=score_rows,
+        embedding_scores=scores,
         best_models=best_models,
         exclusions=exclusions,
         skipped=skipped,
-        split_audits=split_audits,
     )
 
 
@@ -573,13 +539,13 @@ def _best_models_markdown(result: RunResult) -> str:
         lines.append("|" + "---|" * len(header))
         for r in rows:
             cells = [
-                r.topic or "",
+                r.topic,
                 r.model,
                 r.embedding,
-                f"{r.metrics.f1_weighted:.2f}",
-                f"{r.metrics.precision_weighted:.2f}",
-                f"{r.metrics.recall_weighted:.2f}",
-                f"{r.metrics.accuracy:.2f}",
+                f"{r.f1_weighted:.2f}",
+                f"{r.precision_weighted:.2f}",
+                f"{r.recall_weighted:.2f}",
+                f"{r.accuracy:.2f}",
             ]
             if task == TASK_BINARY:
                 cells.append(f"{r.auc_roc:.2f}")
@@ -605,7 +571,7 @@ def emit_report(result: RunResult, out_dir: str | Path | None = None) -> list[Pa
     _write_csv(reports_path, REPORT_CSV_HEADER, [report_csv_row(r) for r in result.reports])
     scores_path = out / "embedding_scores.csv"
     _write_csv(scores_path, EMBEDDING_SCORES_HEADER, [
-        (s.topic, s.task, s.score.embedding, str(s.score.top_t), f"{s.score.mu:.2f}")
+        (s.topic, s.task, s.embedding, str(s.top_t), f"{s.mu:.2f}")
         for s in result.embedding_scores
     ])
     best_path = out / "best_models.md"

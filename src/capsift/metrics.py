@@ -8,9 +8,8 @@ stored values keep full precision.
 
 from __future__ import annotations
 
-import dataclasses
 import statistics
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -74,31 +73,32 @@ class MetricsSummary:
 
 @dataclass(frozen=True)
 class EvaluationReport:
-    """One model's evaluation on one (topic, task, embedding) cell."""
+    """One model's evaluation on one (topic, task, embedding) cell: one
+    reports.csv row, whose columns are these fields in order."""
 
-    model: str
-    embedding: str
+    topic: str
     task: str
-    confusion: ConfusionMatrix
-    metrics: MetricsSummary
-    auc_roc: float | None = None
-    topic: str | None = None
-    seed: int | None = None
-    rank: int | None = None
+    embedding: str
+    model: str
+    f1_weighted: float
+    precision_weighted: float
+    recall_weighted: float
+    accuracy: float
+    auc_roc: float | None
+    seed: int
 
     def __post_init__(self) -> None:
         if (self.auc_roc is not None) != (self.task == TASK_BINARY):
             raise ValueError("auc_roc must be present exactly for binary-task reports")
 
-    @property
-    def f1_weighted(self) -> float:
-        return self.metrics.f1_weighted
-
 
 @dataclass(frozen=True)
 class EmbeddingScore:
-    """Mean weighted F1 of the top-T ranked models for one embedding."""
+    """Mean weighted F1 of the top-T ranked models for one embedding in one
+    (topic, task): one embedding_scores.csv row."""
 
+    topic: str
+    task: str
     embedding: str
     top_t: int
     mu: float
@@ -198,58 +198,52 @@ def roc_auc_binary(y_true, scores) -> float:
 
 
 def rank_models(reports: list[EvaluationReport]) -> list[EvaluationReport]:
-    """Sort reports by weighted F1 descending, ties by model id ascending.
-
-    Returns copies with 1-based rank indices attached.
-    """
+    """Sort reports by weighted F1 descending, ties by model id ascending."""
     if not reports:
         raise ValueError("no reports to rank")
-    ordered = sorted(reports, key=lambda r: (-r.f1_weighted, r.model))
-    return [dataclasses.replace(r, rank=i) for i, r in enumerate(ordered, start=1)]
+    return sorted(reports, key=lambda r: (-r.f1_weighted, r.model))
 
 
 def embedding_performance(reports: list[EvaluationReport], top_t: int) -> list[EmbeddingScore]:
-    """Mean weighted F1 of each embedding's top-T models.
+    """Mean weighted F1 of each (topic, task, embedding)'s top-T models.
 
-    Reports are grouped by embedding name (first-appearance order), each
-    group ranked with the rank_models rule, and the first min(T, count) F1
-    values averaged.
+    Reports are grouped by (topic, task, embedding) in first-appearance
+    order, each group ranked with the rank_models rule, and the first
+    min(T, count) F1 values averaged.
     """
     if not reports:
         raise ValueError("no reports given")
     if top_t < 1:
         raise ValueError("top_t must be >= 1")
-    groups: dict[str, list[EvaluationReport]] = {}
+    groups: dict[tuple[str, str, str], list[EvaluationReport]] = {}
     for report in reports:
-        groups.setdefault(report.embedding, []).append(report)
+        groups.setdefault((report.topic, report.task, report.embedding), []).append(report)
     scores = []
-    for embedding, group in groups.items():
+    for (topic, task, embedding), group in groups.items():
         ranked = rank_models(group)
-        take = min(top_t, len(ranked))
         # exact rational mean: the result is independent of summation order
-        mu = float(statistics.mean(r.f1_weighted for r in ranked[:take]))
-        scores.append(EmbeddingScore(embedding=embedding, top_t=top_t, mu=mu))
+        mu = float(statistics.mean(r.f1_weighted for r in ranked[:top_t]))
+        scores.append(EmbeddingScore(topic, task, embedding, top_t, mu))
     return scores
 
 
 def evaluate_predictions(
-    model: str,
-    embedding: str,
+    topic: str,
     task: str,
+    embedding: str,
+    model: str,
+    seed: int,
     y_true,
     y_pred,
     classes,
     positive_scores=None,
-    topic: str | None = None,
-    seed: int | None = None,
 ) -> EvaluationReport:
-    """Build a full report from one model's test-set predictions.
+    """Build one model's report from its test-set predictions.
 
     Binary-task calls must supply the class-1 scores for the AUC; three-class
     calls must not (multiclass AUC is out of scope).
     """
-    cm = confusion_matrix(y_true, y_pred, classes)
-    summary = classification_metrics(cm)
+    summary = classification_metrics(confusion_matrix(y_true, y_pred, classes))
     auc = None
     if task == TASK_BINARY:
         if positive_scores is None:
@@ -258,30 +252,15 @@ def evaluate_predictions(
     elif positive_scores is not None:
         raise ValueError("scores are only used for the binary task")
     return EvaluationReport(
-        model=model, embedding=embedding, task=task,
-        confusion=cm, metrics=summary, auc_roc=auc,
-        topic=topic, seed=seed,
+        topic, task, embedding, model,
+        summary.f1_weighted, summary.precision_weighted, summary.recall_weighted,
+        summary.accuracy, auc, seed,
     )
 
 
-REPORT_CSV_HEADER = (
-    "topic", "task", "embedding", "model",
-    "f1_weighted", "precision_weighted", "recall_weighted", "accuracy",
-    "auc_roc", "seed",
-)
+REPORT_CSV_HEADER = tuple(f.name for f in fields(EvaluationReport))
 
 
 def report_csv_row(report: EvaluationReport) -> tuple[str, ...]:
-    """Render one reports.csv row; floats keep full precision via repr."""
-    return (
-        report.topic or "",
-        report.task,
-        report.embedding,
-        report.model,
-        repr(report.metrics.f1_weighted),
-        repr(report.metrics.precision_weighted),
-        repr(report.metrics.recall_weighted),
-        repr(report.metrics.accuracy),
-        "" if report.auc_roc is None else repr(report.auc_roc),
-        "" if report.seed is None else str(report.seed),
-    )
+    """Render one reports.csv row; str of a float is its full-precision repr."""
+    return tuple("" if value is None else str(value) for value in astuple(report))

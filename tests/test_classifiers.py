@@ -320,7 +320,8 @@ def test_save_load_round_trip(algo, tmp_path):
 
 
 def test_load_model_errors_are_located(tmp_path):
-    knn = (MODEL_FIXTURES / "knn.model").read_text(encoding="utf-8")
+    knn, logreg, forest = ((MODEL_FIXTURES / f"{algo}.model").read_text(encoding="utf-8")
+                           for algo in ("knn", "logistic_regression", "random_forest"))
     points = knn.index("array points")
     rows = [
         (b"not-a-model 1\n", "line 1"),
@@ -333,6 +334,12 @@ def test_load_model_errors_are_located(tmp_path):
         (knn.replace("scalar k 5\n", "scalar k 5\nscalar leaf_size 30\n").encode(),
          "unknown 'leaf_size'"),
         (knn.replace("scaler 1\n", "hyperparam k 0\nscaler 1\n").encode(), "k must be >= 1"),
+        (logreg.replace("scaler 1\n", "hyperparam learning_rate nan\nscaler 1\n").encode(),
+         "learning_rate must be finite"),
+        (knn.replace("scalar k 5\n", "array k int64 1 1\n5\n").encode(), "'k' must be a scalar"),
+        ((knn[:points] + "scalar points 5\nend\n").encode(), "'points' must be an array"),
+        (forest.replace("scalar n_trees 3\n", "array n_trees int64 1 1\n3\n").encode(),
+         "'n_trees' must be a scalar"),
     ]
     path = tmp_path / "m.model"
     for content, fragment in rows:

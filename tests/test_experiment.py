@@ -29,7 +29,7 @@ from capsift.experiment import (
     run_experiment,
     stratified_split,
 )
-from capsift.metrics import TASK_BINARY, TASK_THREE_CLASS, report_csv_row
+from capsift.metrics import TASK_BINARY, TASK_THREE_CLASS
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -91,6 +91,8 @@ def test_load_config_hyperparam_overrides(tmp_path):
         ("manifest = m.csv\nknn.k = 3\n# comment\nknn.k = 4\n",
          "line 4: key 'knn.k' repeats line 2"),
         ("manifest = a.csv\nmanifest = b.csv\n", "line 2: key 'manifest' repeats line 1"),
+        ("manifest = m.csv\nembedding.e = e.txt\nrandom_forest.trees = inf\n",
+         "trees must be finite"),
     ],
 )
 def test_load_config_errors(tmp_path, body, fragment):
@@ -145,6 +147,11 @@ def base_config(**overrides):
         ({"algorithms": ("knn", "gaussian_nb", "knn")}, "duplicate algorithms"),
         ({"hyperparams": {"knn": {"k": 0}}}, "knn.k must be >= 1"),
         ({"hyperparams": {"random_forest": {"trees": 2.5}}}, "trees must be an integer"),
+        ({"hyperparams": {"logistic_regression": {"learning_rate": float("nan")}}},
+         "learning_rate must be finite"),
+        ({"hyperparams": {"logistic_regression": {"learning_rate": float("inf")}}},
+         "learning_rate must be finite"),
+        ({"hyperparams": {"random_forest": {"trees": float("inf")}}}, "trees must be finite"),
     ],
 )
 def test_config_validation(overrides, fragment):
@@ -240,7 +247,7 @@ def test_sweep_produces_every_cell(fixture_run):
     for cell in cells:
         group = [r for r in fixture_run.reports
                  if (r.topic, r.task, r.embedding) == cell]
-        assert sorted(r.rank for r in group) == list(range(1, 8))
+        assert len({r.model for r in group}) == len(group) == 7
         assert DUMMY in {r.model for r in group}
 
 
@@ -255,12 +262,28 @@ def test_sweep_logs_every_rejected_caption(fixture_run):
     assert len(fixture_run.exclusions) == 5
 
 
-def test_sweep_split_has_no_leakage(fixture_run):
-    assert len(fixture_run.split_audits) == 4  # one per (topic, embedding)
-    for audit in fixture_run.split_audits:
-        assert not set(audit.train_ids) & set(audit.test_ids)
-        assert len(audit.train_ids) + len(audit.test_ids) == len(set(audit.train_ids)) + len(
-            set(audit.test_ids))
+def prepared_splits(config):
+    """Every (topic, embedding)'s PreparedSplit, in sweep order."""
+    records = load_manifest(config.manifest)
+    splits = {}
+    for topic in config.topics:
+        topic_records = [r for r in records if r.topic.value == topic]
+        documents, _ = load_corpus(topic_records, config.captions_root, load_stopwords())
+        kept, _ = filter_corpus(documents)
+        for name, path in config.embeddings:
+            table = parse_embedding_file(path, name=name)
+            splits[topic, name], _, _ = prepare_topic_embedding(config, topic, name, table, kept)
+    return splits
+
+
+def test_sweep_split_has_no_leakage(fixture_config):
+    splits = prepared_splits(fixture_config)
+    assert len(splits) == 4  # one per (topic, embedding)
+    for prepared in splits.values():
+        train, test = prepared.train_idx, prepared.test_idx
+        assert not set(train) & set(test)
+        assert len(set(train)) == len(train) and len(set(test)) == len(test)
+        assert sorted([*train, *test]) == list(range(len(prepared.labels)))
 
 
 def test_sweep_binary_reports_carry_auc(fixture_run):
@@ -294,10 +317,10 @@ def test_sweep_best_models_exclude_dummy(fixture_run):
 def test_sweep_embedding_scores_cover_every_t(fixture_run):
     rows = fixture_run.embedding_scores
     assert len(rows) == 24  # 2 topics x 2 tasks x 2 embeddings x 3 T values
-    keys = {(s.topic, s.task, s.score.embedding, s.score.top_t) for s in rows}
+    keys = {(s.topic, s.task, s.embedding, s.top_t) for s in rows}
     assert len(keys) == 24
-    assert {s.score.top_t for s in rows} == set(DEFAULT_T_VALUES)
-    assert all(0.0 <= s.score.mu <= 1.0 for s in rows)
+    assert {s.top_t for s in rows} == set(DEFAULT_T_VALUES)
+    assert all(0.0 <= s.mu <= 1.0 for s in rows)
 
 
 def test_sweep_report_rows_are_sorted(fixture_run):
@@ -305,18 +328,15 @@ def test_sweep_report_rows_are_sorted(fixture_run):
     assert keys == sorted(keys)
 
 
-def test_sweep_same_split_for_both_tasks(fixture_run, fixture_config):
-    # single-task runs must reproduce the exact membership of the joint run
-    three = run_experiment(dataclasses.replace(fixture_config, task=TASK_THREE_CLASS))
-    binary = run_experiment(dataclasses.replace(fixture_config, task=TASK_BINARY))
+def test_sweep_same_split_for_both_tasks(fixture_config):
+    # single-task configs must draw the exact membership of the joint one
+    def by_cell(task):
+        splits = prepared_splits(dataclasses.replace(fixture_config, task=task))
+        return {cell: (p.train_idx.tolist(), p.test_idx.tolist()) for cell, p in splits.items()}
 
-    def by_cell(result):
-        return {(a.topic, a.embedding): (a.train_ids, a.test_ids)
-                for a in result.split_audits}
-
-    assert by_cell(three) == by_cell(binary) == by_cell(fixture_run)
-    seen = {(a.topic, a.embedding) for a in fixture_run.split_audits}
-    assert len(seen) == len(fixture_run.split_audits)
+    both = by_cell(TASK_BOTH)
+    assert len(both) == 4
+    assert by_cell(TASK_THREE_CLASS) == by_cell(TASK_BINARY) == both
 
 
 def test_single_cell_reproduces_its_rows_of_the_full_sweep(fixture_run, fixture_config):
@@ -328,16 +348,13 @@ def test_single_cell_reproduces_its_rows_of_the_full_sweep(fixture_run, fixture_
     prepared, exclusions, skipped = prepare_topic_embedding(
         fixture_config, topic, name, table, kept)
     assert [e.video_id for e in exclusions] == ["moon_oov"] and not skipped
-    ranked, skipped = run_cell(fixture_config, topic, task, name, prepared)
+    reports, skipped = run_cell(fixture_config, topic, task, name, prepared)
     assert not skipped
+    assert [r.model for r in reports] == list(fixture_config.sweep_algorithms())
     expected = [r for r in fixture_run.reports
                 if (r.topic, r.task, r.embedding) == (topic, task, name)]
     assert len(expected) == 7
-
-    def rows(reports):
-        return sorted((report_csv_row(r), r.rank) for r in reports)
-
-    assert rows(ranked) == rows(expected)
+    assert sorted(reports, key=lambda r: r.model) == expected
 
 
 def test_training_value_error_skips_only_that_model(fixture_config, monkeypatch):
@@ -406,6 +423,34 @@ def test_emit_report_writes_artifacts(fixture_run, tmp_path):
     echo = (tmp_path / "config_resolved.txt").read_text(encoding="utf-8")
     assert echo.startswith(f"# fingerprint: {fixture_run.fingerprint}\n")
     assert "seed = 2024" in echo
+
+
+# Outputs written by an earlier release; see generate_expected.py in that directory.
+EXPECTED = FIXTURES / "expected"
+REPORT_FLOAT_COLUMNS = {"f1_weighted", "precision_weighted", "recall_weighted", "accuracy",
+                        "auc_roc"}
+
+
+def test_fixture_outputs_match_pinned_files(fixture_run, tmp_path):
+    emit_report(fixture_run, tmp_path)
+    for name in ("embedding_scores.csv", "best_models.md", "exclusions.log"):
+        assert (tmp_path / name).read_bytes() == (EXPECTED / name).read_bytes(), name
+
+    def read_rows(path):
+        with path.open(encoding="utf-8", newline="") as fh:
+            return list(csv.reader(fh))
+
+    got, want = read_rows(tmp_path / "reports.csv"), read_rows(EXPECTED / "reports.csv")
+    assert got[0] == want[0]
+    assert len(got) == len(want)
+    # floats may differ in the last bits under another BLAS kernel; text may not
+    for got_row, want_row in zip(got[1:], want[1:]):
+        assert len(got_row) == len(want_row)
+        for column, g, w in zip(want[0], got_row, want_row):
+            if column in REPORT_FLOAT_COLUMNS and w:
+                assert float(g) == pytest.approx(float(w), rel=1e-12, abs=0), (column, want_row)
+            else:
+                assert g == w, (column, want_row)
 
 
 def test_emit_report_is_deterministic(fixture_run, tmp_path):

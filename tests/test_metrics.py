@@ -6,7 +6,9 @@ import pytest
 from capsift.metrics import (
     TASK_BINARY,
     TASK_THREE_CLASS,
+    REPORT_CSV_HEADER,
     ConfusionMatrix,
+    EvaluationReport,
     classification_metrics,
     confusion_matrix,
     embedding_performance,
@@ -157,9 +159,7 @@ def test_auc_errors():
 def test_rank_models_orders_by_f1_then_name():
     reports = [make_report("svm", 0.8), make_report("knn", 0.9),
                make_report("ada", 0.8), make_report("nb", 0.95)]
-    ranked = rank_models(reports)
-    assert [(r.model, r.rank) for r in ranked] == \
-        [("nb", 1), ("knn", 2), ("ada", 3), ("svm", 4)]
+    assert [r.model for r in rank_models(reports)] == ["nb", "knn", "ada", "svm"]
 
 
 def test_embedding_performance_worked_examples():
@@ -179,6 +179,19 @@ def test_embedding_performance_groups_by_embedding():
     assert scores == {"e1": pytest.approx(0.75), "e2": pytest.approx(0.4)}
 
 
+def test_embedding_performance_groups_by_topic_and_task():
+    # two topics sharing an embedding name are two scores, not one pooled mean
+    pool = [make_report("a", 1.0, topic="moon"), make_report("a", 0.2, topic="vaccines"),
+            make_report("b", 0.6, topic="vaccines"),
+            make_report("a", 0.4, task=TASK_BINARY, topic="moon")]
+    scores = embedding_performance(pool, top_t=1)
+    assert [(s.topic, s.task, s.embedding, s.top_t, s.mu) for s in scores] == [
+        ("moon", TASK_THREE_CLASS, "emb", 1, 1.0),
+        ("vaccines", TASK_THREE_CLASS, "emb", 1, 0.6),
+        ("moon", TASK_BINARY, "emb", 1, 0.4),
+    ]
+
+
 def test_embedding_performance_validation():
     with pytest.raises(ValueError):
         embedding_performance([], 3)
@@ -191,16 +204,15 @@ def test_embedding_performance_validation():
 
 def test_evaluate_predictions_binary_requires_scores():
     with pytest.raises(ValueError, match="requires class-1 scores"):
-        evaluate_predictions("m", "e", TASK_BINARY, [0, 1], [0, 1], [0, 1])
+        evaluate_predictions("moon", TASK_BINARY, "e", "m", 5, [0, 1], [0, 1], [0, 1])
     with pytest.raises(ValueError, match="only used for the binary task"):
-        evaluate_predictions("m", "e", TASK_THREE_CLASS, [0, 1], [0, 1], [0, 1],
+        evaluate_predictions("moon", TASK_THREE_CLASS, "e", "m", 5, [0, 1], [0, 1], [0, 1],
                              positive_scores=[0.1, 0.9])
 
 
 def test_evaluate_predictions_binary_report():
-    report = evaluate_predictions("m", "e", TASK_BINARY, [0, 0, 1, 1], [0, 0, 1, 1],
-                                  [0, 1], positive_scores=[0.1, 0.2, 0.8, 0.9],
-                                  topic="moon", seed=5)
+    report = evaluate_predictions("moon", TASK_BINARY, "e", "m", 5, [0, 0, 1, 1],
+                                  [0, 0, 1, 1], [0, 1], positive_scores=[0.1, 0.2, 0.8, 0.9])
     assert report.auc_roc == 1.0
     assert report.f1_weighted == 1.0
     row = report_csv_row(report)
@@ -208,21 +220,27 @@ def test_evaluate_predictions_binary_report():
 
 
 def test_report_csv_row_blank_optional_fields():
-    report = evaluate_predictions("m", "e", TASK_THREE_CLASS, [0, 1, 2], [0, 1, 2],
-                                  [0, 1, 2])
+    report = evaluate_predictions("moon", TASK_THREE_CLASS, "e", "m", 5, [0, 1, 2],
+                                  [0, 1, 2], [0, 1, 2])
     row = report_csv_row(report)
-    assert row[0] == ""   # no topic
-    assert row[8] == ""   # no AUC on the three-class task
-    assert row[9] == ""   # no seed
-    assert float(row[4]) == 1.0
+    assert row == ("moon", "three_class", "e", "m", "1.0", "1.0", "1.0", "1.0", "", "5")
+    assert REPORT_CSV_HEADER[8] == "auc_roc"
+
+
+def test_report_requires_auc_exactly_for_binary():
+    with pytest.raises(ValueError, match="auc_roc"):
+        EvaluationReport("moon", TASK_THREE_CLASS, "e", "m", 1.0, 1.0, 1.0, 1.0, 0.5, 5)
+    with pytest.raises(ValueError, match="auc_roc"):
+        EvaluationReport("moon", TASK_BINARY, "e", "m", 1.0, 1.0, 1.0, 1.0, None, 5)
 
 
 def test_csv_row_full_precision():
     y_true = [0] * 5 + [1] * 2
     y_pred = [0, 0, 0, 1, 1, 1, 0]
-    report = evaluate_predictions("m", "e", TASK_THREE_CLASS, y_true, y_pred, [0, 1])
+    report = evaluate_predictions("moon", TASK_THREE_CLASS, "e", "m", 5, y_true, y_pred, [0, 1])
     row = report_csv_row(report)
-    assert float(row[4]) == report.metrics.f1_weighted  # repr round trips
+    assert row[4] == repr(report.f1_weighted)
+    assert float(row[4]) == report.f1_weighted  # repr round trips
 
 
 def test_confusion_matrix_rejects_bad_shape():
