@@ -442,11 +442,11 @@ def run_cell(
             skipped.append(SkippedCell(
                 topic, task, name, algo, f"failed: {type(exc).__name__}: {exc}"))
             continue
-        y_pred = model.predict(X_test)
+        scores = model.predict_scores(X_test)
+        y_pred = model.classes[np.argmax(scores, axis=1)]  # as TrainedModel.predict
         positive = None
         if task == TASK_BINARY:
-            col = int(np.flatnonzero(model.classes == 1)[0])
-            positive = model.predict_scores(X_test)[:, col]
+            positive = scores[:, int(np.flatnonzero(model.classes == 1)[0])]
         reports.append(evaluate_predictions(
             topic, task, name, algo, model_seed, y_test, y_pred, eval_classes, positive))
     return reports, skipped
