@@ -96,10 +96,11 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_vectorize(args) -> int:
-    table = parse_embedding_file(args.embedding)
     records = load_manifest(args.manifest)
     stopwords = load_stopwords()
     documents, skipped = load_corpus(records, args.captions, stopwords)
+    vocab = {token for doc in documents for token in doc.tokens}
+    table = parse_embedding_file(args.embedding, vocab=vocab)
     out = Path(args.out)
     no_coverage = 0
     with out.open("w", encoding="utf-8", newline="") as fh:

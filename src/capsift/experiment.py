@@ -1,10 +1,12 @@
 """End-to-end experiment runner.
 
-Reads a flat key=value config, then for every topic: preprocess captions,
-vectorize them against each embedding, stratified-split, balance the training
-side, sweep the classifier suite on the three-class and binary tasks, and
-collect evaluation reports plus top-T embedding scores. All randomness is
-derived from the master seed per cell, so reruns are byte-identical.
+Reads a flat key=value config, loads and filters every topic's captions, and
+parses each embedding table restricted to the words those captions use. Then
+for every topic it vectorizes the captions against each embedding,
+stratified-splits them, balances the training side, sweeps the classifier
+suite on the three-class and binary tasks, and collects evaluation reports
+plus top-T embedding scores. All randomness is derived from the master seed
+per cell, so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 from .classifiers import ALGORITHMS, DEFAULT_HYPERPARAMS, DUMMY, AlgorithmSpec, train
 from .classifiers.serialize import parse_number
 from .corpus import (
+    CaptionDocument,
     Exclusion,
     Topic,
     filter_corpus,
@@ -352,6 +355,25 @@ def _effective_topics(config: ExperimentConfig, records) -> tuple[str, ...]:
     return tuple(sorted({r.topic.value for r in records}))
 
 
+def load_topic(
+    topic: str, records, captions_root: Path, stopwords: frozenset[str],
+) -> tuple[list[CaptionDocument], list[Exclusion], list[SkippedCell]]:
+    """Load and filter one topic's captions.
+
+    Returns (kept, exclusions, skipped): the captions that pass the
+    filters, the load and filter exclusions in that order, and a topic-wide
+    skip when the manifest has no rows for the topic or no caption is kept.
+    """
+    topic_records = [r for r in records if r.topic.value == topic]
+    if not topic_records:
+        return [], [], [SkippedCell(topic, "*", "*", "*", "no manifest rows for topic")]
+    documents, load_skips = load_corpus(topic_records, captions_root, stopwords)
+    kept, rejections = filter_corpus(documents)
+    skipped = [] if kept else [
+        SkippedCell(topic, "*", "*", "*", "no captions left after filtering")]
+    return kept, load_skips + rejections, skipped
+
+
 @dataclass(frozen=True)
 class PreparedSplit:
     """Caption vectors of one (topic, embedding) with its seeded train/test
@@ -465,25 +487,22 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     captions_root = config.captions_root or config.manifest.parent
     topics = _effective_topics(config, records)
     fingerprint = config_fingerprint(config, topics)
+    loaded = [load_topic(topic, records, captions_root, stopwords) for topic in topics]
+    vocab = {token for kept, _, _ in loaded for doc in kept for token in doc.tokens}
     tables = [
-        (name, parse_embedding_file(path, name=name))
+        (name, parse_embedding_file(path, name=name, vocab=vocab))
         for name, path in config.embeddings
     ]
 
     reports: list[EvaluationReport] = []
     exclusions: list[Exclusion] = []
     skipped: list[SkippedCell] = []
-    for topic in topics:
-        topic_records = [r for r in records if r.topic.value == topic]
-        if not topic_records:
-            skipped.append(SkippedCell(topic, "*", "*", "*", "no manifest rows for topic"))
-            continue
-        documents, load_skips = load_corpus(topic_records, captions_root, stopwords)
-        exclusions.extend(load_skips)
-        kept, rejections = filter_corpus(documents)
-        exclusions.extend(rejections)
+    # Each topic's load results are replayed here, so exclusions.log stays in
+    # topic order: a topic's coverage exclusions follow its filter ones.
+    for topic, (kept, topic_exclusions, topic_skips) in zip(topics, loaded):
+        exclusions.extend(topic_exclusions)
+        skipped.extend(topic_skips)
         if not kept:
-            skipped.append(SkippedCell(topic, "*", "*", "*", "no captions left after filtering"))
             continue
         for name, table in tables:
             prepared, coverage, skips = prepare_topic_embedding(config, topic, name, table, kept)

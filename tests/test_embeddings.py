@@ -1,10 +1,18 @@
 """Embedding file parsing, round trips, and caption vectorization."""
 
+import sys
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import capsift.embeddings
 from conftest import make_table
 from capsift.embeddings import (
+    _OTHER_WHITESPACE,
     GLOVE_TEXT,
     WORD2VEC_TEXT,
     EmbeddingFormatError,
@@ -51,7 +59,7 @@ def test_format_detection_two_integer_first_line(tmp_path):
     assert table.dimension == 1
 
 
-@pytest.mark.parametrize("text, line_no, fragment", [
+PARSE_ERRORS = [
     ("", None, "empty"),
     ("hello 1.0 2.0\nworld 3.0\n", 2, "expected 2 components"),
     ("hello 1.0 2.0\nworld 3.0 abc\n", 2, "non-numeric"),
@@ -63,7 +71,10 @@ def test_format_detection_two_integer_first_line(tmp_path):
     ("\nhello 1.0\n", 1, "empty line"),
     # a repeated word is still checked, though only its first line is kept
     ("word 1.0 2.0\nword 3.0\n", 2, "expected 2 components"),
-])
+]
+
+
+@pytest.mark.parametrize("text, line_no, fragment", PARSE_ERRORS)
 def test_parse_errors_are_located(tmp_path, text, line_no, fragment):
     path = write(tmp_path, text)
     with pytest.raises(EmbeddingFormatError) as err:
@@ -72,6 +83,175 @@ def test_parse_errors_are_located(tmp_path, text, line_no, fragment):
     assert fragment in message
     if line_no is not None:
         assert f"line {line_no}" in message
+
+
+def parse_outcome(path, vocab=None):
+    """The error message of a parse, or the parsed words and vectors."""
+    try:
+        table = parse_embedding_file(path, vocab=vocab)
+    except EmbeddingFormatError as exc:
+        return str(exc)
+    return {word: table.lookup(word).tolist() for word in table.index}
+
+
+@pytest.mark.parametrize("text, line_no, fragment", PARSE_ERRORS)
+def test_restricted_parse_errors_are_located(tmp_path, text, line_no, fragment):
+    path = write(tmp_path, text)
+    words = {line.split()[0].lower() for line in text.splitlines() if line.split()}
+    bad = set(text.splitlines()[line_no - 1].split()[:1]) if line_no else set()
+    # The offending line's word is used, then unused. Only the numeric
+    # checks depend on it: they run on kept lines alone.
+    assert parse_outcome(path, words) == parse_outcome(path)
+    if fragment in ("non-numeric", "non-finite"):
+        assert parse_outcome(path, words - bad) == {"hello": [1.0, 2.0]}
+    else:
+        assert parse_outcome(path, words - bad) == parse_outcome(path)
+
+
+def reference_outcome(path):
+    """``parse_outcome`` of a full parse of a file whose components are all
+    numeric, computed from the whole text's ``splitlines()`` and one
+    ``split()`` per line."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        return f"empty embedding file: {path}"
+    first = lines[0].split()
+    header = len(first) == 2
+    try:
+        [int(p) for p in first]
+    except ValueError:
+        header = False
+    dim = int(first[1]) if header else None
+    if header and (int(first[0]) < 1 or dim < 1):
+        return f"line 1: invalid word2vec header {lines[0]!r}"
+    data = lines[1:] if header else lines
+    if not data:
+        return f"no vectors in embedding file: {path}"
+    vectors = {}
+    for line_no, line in enumerate(data, start=2 if header else 1):
+        parts = line.split()
+        if not parts:
+            return f"line {line_no}: empty line"
+        dim = len(parts) - 1 if dim is None else dim
+        if dim < 1:
+            return f"line {line_no}: no vector components"
+        if len(parts) != dim + 1:
+            return f"line {line_no}: expected {dim} components, got {len(parts) - 1}"
+        vectors.setdefault(parts[0].lower(), [float(p) for p in parts[1:]])
+    if header and int(first[0]) != len(data):
+        return f"word2vec header declares {first[0]} words but file has {len(data)}"
+    return vectors
+
+
+def assert_restricted_matches_full(path, vocab):
+    """The full parse agrees with the reference, and a restricted parse
+    fails with its message or keeps exactly its rows of the ``vocab`` words."""
+    full = parse_outcome(path)
+    assert full == reference_outcome(path)
+    restricted = parse_outcome(path, vocab)
+    if isinstance(full, str):
+        assert restricted == full
+    else:
+        assert restricted == {w: v for w, v in full.items() if w in vocab}
+
+
+@pytest.mark.parametrize("line", [
+    "w  1",        # right space count, but split() gives one component
+    " w 1",
+    "w 1 ",
+    " w 1 2",      # a leading space, yet two components
+    "w 1 2 ",
+    "w\t1",
+    "w\t1 2",
+    "w 1 2\t3",    # right space count, but a tab adds a component
+    "w 1\x0b2",    # \x0b ends a line for splitlines()
+    "w\xa01 2",    # NBSP separates tokens for split()
+    "w 1\xa0",
+    "w 1\xa02 3",
+    "w\x1f1 2",
+    "w 1\x1f",
+    "w\x1f1 2 3",
+    "w\u30001 2",
+    "",
+    " ",
+    "w 1 2",
+])
+@pytest.mark.parametrize("header", [False, True])
+def test_restricted_parse_agrees_on_unused_whitespace_variants(tmp_path, line, header):
+    lines = ["a 1 2", line, "b 3 4"]
+    text = (f"{len(lines)} 2\n" if header else "") + "\n".join(lines) + "\n"
+    path = write(tmp_path, text)
+    assert_restricted_matches_full(path, {"a", "b"})
+
+
+# Separators that split() or splitlines() break on, or neither ("").
+_SEPARATORS = st.sampled_from(["", " ", "  ", "\t", "\x0b", "\xa0", "\x1f", "\x85", "\u2028",
+                               "\u3000", "\r", "\r\n", " \x0c "])
+
+
+@st.composite
+def embedding_lines(draw):
+    """A word and up to three numbers, joined by any separators, so that
+    every component, on whatever line it ends up, is numeric."""
+    pieces = [draw(_SEPARATORS), draw(st.sampled_from(["w", "a", "W"]))]
+    for _ in range(draw(st.integers(0, 3))):
+        pieces += [draw(_SEPARATORS), draw(st.sampled_from(["1", "25", "3"]))]
+    pieces.append(draw(_SEPARATORS))
+    return "".join(pieces)
+
+
+@given(st.lists(embedding_lines(), max_size=4), st.booleans(),
+       st.sets(st.sampled_from(["a", "w", "w1", "w25", "1"])), st.sampled_from([1, 4, 64]),
+       st.sampled_from(["", "\n"]))
+def test_restricted_parse_agrees_with_full_parse(lines, header, vocab, block_chars, end):
+    lines = ["a 1 2"] + lines + ["b 3 4"]
+    text = (f"{len(lines)} 2\n" if header else "") + "\n".join(lines) + end
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        path = Path(tmp) / "emb.txt"
+        path.write_text(text, encoding="utf-8")
+        assert_restricted_matches_full(path, vocab)
+        # the size of the blocks the file is read in changes nothing
+        mp.setattr(capsift.embeddings, "_BLOCK_CHARS", block_chars)
+        assert_restricted_matches_full(path, vocab)
+
+
+def test_other_whitespace_is_every_separator_but_space_and_newline():
+    separators = {c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()}
+    assert set(_OTHER_WHITESPACE) == separators - {" ", "\n"}
+
+
+def test_restricted_parse_keeps_first_of_repeated_words(tmp_path):
+    path = write(tmp_path, "Word 1.0\nother 2.0\nword 3.0\nunused 4.0\nOTHER 5.0\n")
+    for vocab in ({"word"}, {"word", "other"}, {"word", "other", "absent"}):
+        table = parse_embedding_file(path, vocab=vocab)
+        assert list(table.index) == [w for w in ("word", "other") if w in vocab]
+        assert table.matrix[:, 0].tolist() == [1.0, 2.0][:len(table)]
+        assert table.matrix.shape == (len(table), 1)
+    # a repeated kept word is still checked
+    bad = write(tmp_path, "word 1.0\nword abc\n", "bad.txt")
+    with pytest.raises(EmbeddingFormatError, match="line 2: non-numeric"):
+        parse_embedding_file(bad, vocab={"word"})
+
+
+@pytest.mark.parametrize("fmt", [GLOVE_TEXT, WORD2VEC_TEXT])
+def test_restricted_table_follows_the_vocabulary(tmp_path, fmt):
+    # A 20k-word table read for a corpus that uses 50 of its words holds
+    # 50 rows, not 20k.
+    rng = np.random.Generator(np.random.PCG64(11))
+    vectors = {f"w{i}": rng.normal(0, 1, 8) for i in range(20_000)}
+    path = tmp_path / "big.txt"
+    write_embedding_file(make_table(vectors, fmt), path)
+    used = [f"w{i}" for i in rng.choice(20_000, size=50, replace=False)]
+    table = parse_embedding_file(path, vocab=set(used) | {"oov"})
+    assert len(table) == 50
+    assert table.matrix.shape == (50, 8) and table.matrix.base is None
+    assert sorted(table.index) == sorted(used)
+    full = parse_embedding_file(path)
+    assert len(full) == 20_000 and full.matrix.shape == (20_000, 8)
+    for word in used:
+        assert np.array_equal(table.lookup(word), vectors[word])
+        assert np.array_equal(full.lookup(word), vectors[word])
 
 
 def test_non_utf8_file_names_the_file(tmp_path):
@@ -110,6 +290,14 @@ def test_round_trip_bit_identical_both_formats(tmp_path):
         assert list(back.index) == list(vectors)
         for word, vec in vectors.items():
             assert np.array_equal(back.lookup(word), vec), word
+
+
+def test_non_utf8_position_counts_from_file_start(tmp_path):
+    path = tmp_path / "late.txt"
+    path.write_bytes(b"w 1.0 2.0\n" * 10_000 + b"caf\xe9 1.0 2.0\n")
+    for vocab in (None, {"w"}):
+        with pytest.raises(EmbeddingFormatError, match="in position 100003:"):
+            parse_embedding_file(path, vocab=vocab)
 
 
 def test_missing_file():

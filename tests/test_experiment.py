@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import capsift.cli
 import capsift.experiment
 from capsift.classifiers import DUMMY
 from capsift.cli import EXIT_ERROR, EXIT_OK, EXIT_PARTIAL, main
@@ -357,6 +358,21 @@ def test_single_cell_reproduces_its_rows_of_the_full_sweep(fixture_run, fixture_
     assert sorted(reports, key=lambda r: r.model) == expected
 
 
+def test_tables_are_parsed_for_the_kept_tokens_of_every_topic(fixture_config, monkeypatch):
+    vocabs = []
+
+    def spy(path, name=None, vocab=None):
+        vocabs.append(vocab)
+        return parse_embedding_file(path, name=name, vocab=vocab)
+
+    monkeypatch.setattr(capsift.experiment, "parse_embedding_file", spy)
+    run_experiment(fixture_config)
+    records = load_manifest(fixture_config.manifest)
+    documents, _ = load_corpus(records, fixture_config.captions_root, load_stopwords())
+    kept, _ = filter_corpus(documents)
+    assert vocabs == [{t for doc in kept for t in doc.tokens}] * 2
+
+
 def test_training_value_error_skips_only_that_model(fixture_config, monkeypatch):
     real_train = capsift.experiment.train
 
@@ -560,6 +576,38 @@ def test_cli_run_skips_degenerate_cells(tmp_path, capsys):
     assert len(rows) == 3
 
 
+def test_exclusions_log_keeps_per_topic_order(tmp_path, capsys):
+    # Every topic is loaded before any table is parsed; the log must still
+    # read topic by topic, with the first topic's coverage exclusion and
+    # cell skip ahead of anything from the later topics.
+    cfg = write_tiny_corpus(tmp_path, {
+        "vaccines": [-1] * 6 + [0] * 6,           # binary task has one class
+        "moon": [-1] * 6 + [0] * 6 + [1] * 6,
+    })
+    captions = tmp_path / "captions"
+    (captions / "vacoov.txt").write_text("the zorblax " * 60, encoding="utf-8")
+    (captions / "moonshort.txt").write_text("the hoax", encoding="utf-8")
+    (captions / "chem00.txt").write_text("the fraud", encoding="utf-8")
+    with (tmp_path / "manifest.csv").open("a", encoding="utf-8") as fh:
+        fh.write("vacoov,vaccines,0,captions/vacoov.txt,1,1,0,0\n"
+                 "moonmissing,moon,1,captions/moonmissing.txt,1,1,0,0\n"
+                 "moonshort,moon,1,captions/moonshort.txt,1,1,0,0\n"
+                 "chem00,chemtrail,1,captions/chem00.txt,1,1,0,0\n")
+    code = main(["run", "--config", str(cfg), "--topics", "vaccines,moon,911,chemtrail"])
+    capsys.readouterr()
+    assert code == EXIT_PARTIAL
+    log = (tmp_path / "out" / "exclusions.log").read_text(encoding="utf-8")
+    assert log.splitlines() == [
+        "exclusion\tcoverage\tvacoov\tno in-vocabulary tokens for embedding toy16",
+        "exclusion\tload\tmoonmissing\tcaption file missing: captions/moonmissing.txt",
+        "exclusion\tfilter\tmoonshort\tcaption below 500 chars (raw length 8)",
+        "exclusion\tfilter\tchem00\tcaption below 500 chars (raw length 9)",
+        "skipped\tvaccines\tbinary\ttoy16\t*\ttraining split has a single class",
+        "skipped\t911\t*\t*\t*\tno manifest rows for topic",
+        "skipped\tchemtrail\t*\t*\t*\tno captions left after filtering",
+    ]
+
+
 def test_cli_run_bad_config_is_an_error(tmp_path, capsys):
     code = main(["run", "--config", str(tmp_path / "missing.cfg")])
     captured = capsys.readouterr()
@@ -599,6 +647,30 @@ def test_cli_vectorize_exports_rows(tmp_path, capsys):
         assert 0.0 < float(row[2]) <= 1.0
         vec = [float(v) for v in row[3:]]
         assert len(vec) == 16 and all(np.isfinite(vec))
+
+
+def test_cli_vectorize_restricted_parse_writes_the_full_parse_csv(tmp_path, capsys, monkeypatch):
+    argv = ["vectorize", "--captions", str(FIXTURES), "--manifest", str(FIXTURES / "manifest.csv")]
+    vocabs = []
+
+    def spy(path, vocab=None):
+        vocabs.append(vocab)
+        return parse_embedding_file(path, vocab=vocab)
+
+    def full(path, vocab=None):
+        return parse_embedding_file(path)
+
+    for embedding in ("toy16_glove.txt", "toy8_w2v.txt"):
+        argv_e = argv + ["--embedding", str(FIXTURES / "embeddings" / embedding)]
+        monkeypatch.setattr(capsift.cli, "parse_embedding_file", spy)
+        assert main(argv_e + ["--out", str(tmp_path / "restricted.csv")]) == EXIT_OK
+        monkeypatch.setattr(capsift.cli, "parse_embedding_file", full)
+        assert main(argv_e + ["--out", str(tmp_path / "full.csv")]) == EXIT_OK
+        capsys.readouterr()
+        assert vocabs.pop() and not vocabs
+        restricted = (tmp_path / "restricted.csv").read_bytes()
+        assert restricted == (tmp_path / "full.csv").read_bytes()
+        assert restricted.count(b"\n") == 141  # 140 vectors + header
 
 
 def test_cli_vectorize_bad_embedding_is_an_error(tmp_path, capsys):
