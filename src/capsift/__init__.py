@@ -12,8 +12,6 @@ from .classifiers import (
     DEFAULT_HYPERPARAMS,
     AlgorithmSpec,
     TrainedModel,
-    load_model,
-    save_model,
     train,
 )
 from .corpus import (
@@ -79,7 +77,7 @@ __all__ = [
     "SmoteParams", "ResampledDataset", "smote",
     # classifiers
     "ALGORITHMS", "DEFAULT_HYPERPARAMS", "AlgorithmSpec", "TrainedModel",
-    "train", "save_model", "load_model",
+    "train",
     # metrics
     "TASK_THREE_CLASS", "TASK_BINARY", "ConfusionMatrix", "MetricsSummary",
     "EvaluationReport", "EmbeddingScore", "confusion_matrix",

@@ -1,8 +1,8 @@
 """Classifier suite: seven algorithms behind one train/predict interface.
 
-``MODELS`` names every algorithm with its trainer and fitted-model type;
-``train`` dispatches through it and ``load_model`` rebuilds models with it.
-Each fitted model is a frozen dataclass whose own fields are its saved state.
+``MODELS`` names every algorithm with its trainer; ``train`` dispatches
+through it. Each fitted model is a frozen dataclass whose own fields are its
+fitted state.
 """
 
 from typing import Callable
@@ -21,17 +21,16 @@ from .linear import (
     cross_entropy_loss_and_grad,
 )
 from .neighbors import KnnModel, NearestCentroidModel, _train_knn, _train_nearest_centroid
-from .serialize import ModelFormatError, load_model, save_model
 
-# algorithm -> (trainer(spec, X, y_codes, classes), fitted-model type)
-MODELS: dict[str, tuple[Callable, type[TrainedModel]]] = {
-    KNN: (_train_knn, KnnModel),
-    NEAREST_CENTROID: (_train_nearest_centroid, NearestCentroidModel),
-    LOGISTIC_REGRESSION: (_train_logistic_regression, LogisticRegressionModel),
-    LINEAR_SVM: (_train_linear_svm, LinearSvmModel),
-    GAUSSIAN_NB: (_train_gaussian_nb, GaussianNbModel),
-    RANDOM_FOREST: (_train_random_forest, RandomForestModel),
-    DUMMY: (_train_dummy, DummyMostFrequentModel),
+# algorithm -> trainer(spec, X, y_codes, classes)
+MODELS: dict[str, Callable[..., TrainedModel]] = {
+    KNN: _train_knn,
+    NEAREST_CENTROID: _train_nearest_centroid,
+    LOGISTIC_REGRESSION: _train_logistic_regression,
+    LINEAR_SVM: _train_linear_svm,
+    GAUSSIAN_NB: _train_gaussian_nb,
+    RANDOM_FOREST: _train_random_forest,
+    DUMMY: _train_dummy,
 }
 
 
@@ -52,8 +51,7 @@ def train(spec: AlgorithmSpec, features, labels) -> TrainedModel:
     classes = np.unique(y)
     if len(classes) < 2:
         raise ValueError("training requires at least two classes")
-    trainer, _ = MODELS[spec.algorithm]
-    return trainer(spec, X, np.searchsorted(classes, y), classes)
+    return MODELS[spec.algorithm](spec, X, np.searchsorted(classes, y), classes)
 
 
 __all__ = [
@@ -78,10 +76,7 @@ __all__ = [
     "GaussianNbModel",
     "RandomForestModel",
     "DecisionTree",
-    "ModelFormatError",
     "cross_entropy_loss_and_grad",
     "train",
     "standardize_fit",
-    "save_model",
-    "load_model",
 ]

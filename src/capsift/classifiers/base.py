@@ -10,7 +10,7 @@ Models are immutable after training and safe for concurrent prediction.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, Field, dataclass, field, fields
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
 
@@ -57,7 +57,11 @@ _HYPERPARAM_RULES: dict[str, tuple[float, bool, bool]] = {
 
 @dataclass(frozen=True)
 class AlgorithmSpec:
-    """Algorithm choice plus hyperparameter overrides and the training seed."""
+    """Algorithm choice plus hyperparameter overrides and the training seed.
+
+    Overrides are stored as ``int`` where the hyperparameter is integral and
+    as ``float`` otherwise, so equal values give equal specs (``k = 5.0`` is
+    ``k = 5``)."""
 
     algorithm: str
     hyperparams: Mapping[str, float | int] = field(default_factory=dict)
@@ -67,6 +71,7 @@ class AlgorithmSpec:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
         defaults = DEFAULT_HYPERPARAMS[self.algorithm]
+        typed: dict[str, float | int] = {}
         for key, value in self.hyperparams.items():
             if key not in defaults:
                 raise ValueError(f"{self.algorithm} has no hyperparameter {key!r}")
@@ -78,7 +83,8 @@ class AlgorithmSpec:
             if (value <= minimum) if strict else (value < minimum):
                 op = ">" if strict else ">="
                 raise ValueError(f"{self.algorithm}.{key} must be {op} {minimum}, got {value!r}")
-        object.__setattr__(self, "hyperparams", MappingProxyType(dict(self.hyperparams)))
+            typed[key] = int(value) if integral else float(value)
+        object.__setattr__(self, "hyperparams", MappingProxyType(typed))
 
     def resolved(self) -> dict[str, float | int]:
         """Defaults merged with overrides."""
@@ -124,9 +130,7 @@ class TrainedModel:
     """Base for all fitted classifiers.
 
     A subclass adds its fitted state as dataclass fields and implements
-    ``_scores`` on (scaled) features. ``state()`` and ``from_state`` are what
-    ``save_model`` and ``load_model`` use; by default they are the subclass's
-    own fields, ndarrays saved as arrays and ints as scalars.
+    ``_scores`` on (scaled) features.
     """
 
     spec: AlgorithmSpec
@@ -159,35 +163,6 @@ class TrainedModel:
 
     def _scores(self, Z: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def state(self) -> dict[str, np.ndarray | int]:
-        """Fitted state by name, as saved."""
-        return {f.name: getattr(self, f.name) for f in _own_fields(type(self))}
-
-    @classmethod
-    def from_state(cls, spec, classes, scaler, n_features, state) -> "TrainedModel":
-        """Rebuild a model from its ``state()``; ValueError names any missing,
-        unknown or wrong-kind entry."""
-        own = _own_fields(cls)
-        check_state(state, {f.name: int if f.type == "int" else np.ndarray for f in own}, {
-            f.name for f in own if f.default is MISSING and f.default_factory is MISSING})
-        return cls(spec, classes, scaler, n_features, **state)
-
-
-def _own_fields(cls: type[TrainedModel]) -> tuple[Field, ...]:
-    return fields(cls)[len(fields(TrainedModel)):]
-
-
-def check_state(state: Mapping, kinds: Mapping[str, type], required: set[str]) -> None:
-    """Reject missing, unknown and wrong-kind entries; ``kinds`` maps each
-    known name to ``int`` (a scalar) or ``np.ndarray`` (an array)."""
-    problems = [f"{name!r} must be {'a scalar' if kind is int else 'an array'}"
-                for name, kind in sorted(kinds.items())
-                if name in state and not isinstance(state[name], kind)]
-    problems += [f"missing {name!r}" for name in sorted(required - state.keys())]
-    problems += [f"unknown {name!r}" for name in sorted(state.keys() - kinds.keys())]
-    if problems:
-        raise ValueError("model state: " + ", ".join(problems))
 
 
 @dataclass(frozen=True, eq=False)

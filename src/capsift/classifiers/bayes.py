@@ -32,7 +32,7 @@ class GaussianNbModel(TrainedModel):
 
 def _train_gaussian_nb(spec: AlgorithmSpec, X, y_codes, classes):
     params = spec.resolved()
-    smoothing = float(params["var_smoothing"])
+    smoothing = params["var_smoothing"]
     n, d = X.shape
     k = len(classes)
     # smoothing is relative to the largest overall feature variance; fall

@@ -4,12 +4,12 @@ feature subsampling per split)."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .base import AlgorithmSpec, TrainedModel, check_state
+from .base import AlgorithmSpec, TrainedModel
 
 
 @dataclass
@@ -132,11 +132,7 @@ class _TreeGrower:
 
 @dataclass(frozen=True, eq=False)
 class RandomForestModel(TrainedModel):
-    """Ensemble of CART trees; scores are the per-class tree-vote fractions.
-
-    Saved as an ``n_trees`` scalar plus one ``tree{i}_<field>`` array per
-    DecisionTree field.
-    """
+    """Ensemble of CART trees; scores are the per-class tree-vote fractions."""
 
     trees: Sequence[DecisionTree]
 
@@ -162,28 +158,12 @@ class RandomForestModel(TrainedModel):
         votes = np.bincount(row * k + leaf_class[node], minlength=n * k).reshape(n, k)
         return votes / n_trees
 
-    def state(self):
-        state = {"n_trees": len(self.trees)}
-        for i, tree in enumerate(self.trees):
-            state.update({f"tree{i}_{f.name}": getattr(tree, f.name) for f in fields(tree)})
-        return state
-
-    @classmethod
-    def from_state(cls, spec, classes, scaler, n_features, state):
-        n_trees = state.get("n_trees")
-        names = [[f"tree{i}_{f.name}" for f in fields(DecisionTree)]
-                 for i in range(n_trees if isinstance(n_trees, int) else 0)]
-        kinds = {"n_trees": int, **{name: np.ndarray for tree in names for name in tree}}
-        check_state(state, kinds, set(kinds))
-        trees = tuple(DecisionTree(*(state[name] for name in tree)) for tree in names)
-        return cls(spec, classes, scaler, n_features, trees)
-
 
 def _train_random_forest(spec: AlgorithmSpec, X, y_codes, classes):
     params = spec.resolved()
-    n_trees = int(params["trees"])
-    max_depth = int(params["max_depth"])
-    min_leaf = int(params["min_leaf"])
+    n_trees = params["trees"]
+    max_depth = params["max_depth"]
+    min_leaf = params["min_leaf"]
     bootstrap = bool(params["bootstrap"])
     n, d = X.shape
     n_split = max(1, int(math.sqrt(d)))

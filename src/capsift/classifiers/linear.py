@@ -3,7 +3,7 @@ regression and a one-vs-rest hinge-loss SVM."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,12 +33,11 @@ def cross_entropy_loss_and_grad(weights, bias, X, onehot, l2):
 @dataclass(frozen=True, eq=False)
 class LogisticRegressionModel(TrainedModel):
     """Multinomial softmax classifier; scores are class probabilities.
-    ``loss_history`` is the training loss per accepted step (empty in files
-    saved before it was kept)."""
+    ``loss_history`` is the training loss per accepted step."""
 
     weights: np.ndarray
     bias: np.ndarray
-    loss_history: np.ndarray = field(default_factory=lambda: np.empty(0))
+    loss_history: np.ndarray
 
     def _scores(self, Z: np.ndarray) -> np.ndarray:
         return softmax(Z @ self.weights.T + self.bias)
@@ -50,9 +49,9 @@ def _train_logistic_regression(spec: AlgorithmSpec, X, y_codes, classes):
     history is non-increasing). The final iterate is returned regardless of
     convergence."""
     params = spec.resolved()
-    lr = float(params["learning_rate"])
-    l2 = float(params["l2"])
-    iterations = int(params["iterations"])
+    lr = params["learning_rate"]
+    l2 = params["l2"]
+    iterations = params["iterations"]
     scaler = standardize_fit(X)
     Z = scaler.transform(X)
     n, d = Z.shape
@@ -97,9 +96,9 @@ def _train_linear_svm(spec: AlgorithmSpec, X, y_codes, classes):
     """Subgradient descent on 0.5*||w||^2 + c * mean(hinge), one binary
     one-vs-rest problem per class."""
     params = spec.resolved()
-    lr = float(params["learning_rate"])
-    c = float(params["c"])
-    iterations = int(params["iterations"])
+    lr = params["learning_rate"]
+    c = params["c"]
+    iterations = params["iterations"]
     scaler = standardize_fit(X)
     Z = scaler.transform(X)
     n, d = Z.shape

@@ -44,7 +44,7 @@ def _train_knn(spec: AlgorithmSpec, X, y_codes, classes) -> KnnModel:
     params = spec.resolved()
     scaler = standardize_fit(X)
     return KnnModel(spec, classes, scaler, X.shape[1], scaler.transform(X), y_codes,
-                    int(params["k"]))
+                    params["k"])
 
 
 @dataclass(frozen=True, eq=False)

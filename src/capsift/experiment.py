@@ -21,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from .classifiers import ALGORITHMS, DEFAULT_HYPERPARAMS, DUMMY, AlgorithmSpec, train
-from .classifiers.serialize import parse_number
 from .corpus import (
     CaptionDocument,
     Exclusion,
@@ -229,11 +228,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
                 raise ConfigError(
                     f"{path}: line {line_no}: unknown hyperparameter {param!r} for {algo}"
                 )
-            try:
-                number = parse_number(value)
-            except ValueError:
-                raise ConfigError(f"{key}: expected a number, got {value!r}") from None
-            hyperparams.setdefault(algo, {})[param] = number
+            hyperparams.setdefault(algo, {})[param] = _parse_float(value, key)
         else:
             raise ConfigError(f"{path}: line {line_no}: unknown key {key!r}")
     if "manifest" not in fields:
@@ -246,10 +241,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
 def render_config(config: ExperimentConfig, topics: tuple[str, ...], include_out: bool = True) -> str:
     """Canonical text form of a resolved config (echoed to the output
     directory; the fingerprint hashes this text minus the output path)."""
-
-    def fmt(v) -> str:
-        return repr(float(v)) if isinstance(v, float) else str(v)
-
     lines = [f"manifest = {config.manifest}"]
     if config.captions_root is not None:
         lines.append(f"captions_root = {config.captions_root}")
@@ -263,10 +254,9 @@ def render_config(config: ExperimentConfig, topics: tuple[str, ...], include_out
     lines.append(f"t_values = {','.join(str(t) for t in config.t_values)}")
     lines.append(f"seed = {config.seed}")
     for algo in sorted(set(config.sweep_algorithms())):
-        effective = dict(DEFAULT_HYPERPARAMS[algo])
-        effective.update(config.hyperparams.get(algo, {}))
+        effective = AlgorithmSpec(algo, config.hyperparams.get(algo, {})).resolved()
         for param in sorted(effective):
-            lines.append(f"{algo}.{param} = {fmt(effective[param])}")
+            lines.append(f"{algo}.{param} = {effective[param]}")
     if include_out:
         lines.append(f"out = {config.out_dir}")
     return "\n".join(lines) + "\n"

@@ -1,11 +1,12 @@
-"""Classifier suite: training, prediction invariants, persistence."""
+"""Classifier suite: training, prediction invariants, the public API."""
 
-import importlib.util
-from pathlib import Path
+import hashlib
 
 import numpy as np
 import pytest
 
+import capsift
+import capsift.classifiers
 from capsift.classifiers import (
     ALGORITHMS,
     DEFAULT_HYPERPARAMS,
@@ -18,10 +19,7 @@ from capsift.classifiers import (
     NEAREST_CENTROID,
     RANDOM_FOREST,
     AlgorithmSpec,
-    ModelFormatError,
     cross_entropy_loss_and_grad,
-    load_model,
-    save_model,
     standardize_fit,
     train,
 )
@@ -66,6 +64,14 @@ def test_spec_defaults_cover_every_algorithm():
     resolved = spec.resolved()
     assert resolved["trees"] == 10
     assert resolved["max_depth"] == DEFAULT_HYPERPARAMS[RANDOM_FOREST]["max_depth"]
+
+
+def test_spec_stores_integral_hyperparams_as_int_and_others_as_float():
+    knn = AlgorithmSpec(KNN, {"k": 5.0})
+    assert type(knn.hyperparams["k"]) is int and knn == AlgorithmSpec(KNN, {"k": 5})
+    logreg = AlgorithmSpec(LOGISTIC_REGRESSION, {"l2": 0, "iterations": np.float64(3)})
+    assert type(logreg.hyperparams["l2"]) is float
+    assert type(logreg.hyperparams["iterations"]) is int
 
 
 def test_spec_hyperparams_immutable():
@@ -287,83 +293,54 @@ def test_dummy_modal_tie_prefers_lower_class():
     assert model.predict(np.zeros((1, 2))).tolist() == [-1]
 
 
-# --- persistence --------------------------------------------------------------
+# --- pinned training output ---------------------------------------------------
 
 
-# Files written by an earlier release; see generate_models.py in that directory.
-MODEL_FIXTURES = Path(__file__).parent / "fixtures" / "models"
+SPECS = {
+    algo: AlgorithmSpec(algo, {"trees": 3} if algo == RANDOM_FOREST else {}, seed=11)
+    for algo in ALGORITHMS
+}
+
+# sha256 of the float64 bytes of predict_scores(Q) below, recorded from an
+# earlier release; any change to training or scoring arithmetic shows here.
+PINNED_SCORES = {
+    KNN: "a75f97e1441f7dc0d0fcfd5ef1f47763c966c162721ffbf41ca34f6df9691d7e",
+    NEAREST_CENTROID: "ce04646f4a30d95d0dd3965be5310b5762152ea25e080bb10773ec3f365e9539",
+    LOGISTIC_REGRESSION: "d81a6bef4da5fd004b08f11a0aec4e6b0371be9c0b7c65cfafb541076937dba6",
+    LINEAR_SVM: "fa6da4030242270ae275ebbfe03285ffcf6cd6e5fcfd46beb0041577ac998cc8",
+    GAUSSIAN_NB: "1ae6d9f465dc4278ac3c885b342617062723682af2896340aba9b3aabd1877f2",
+    RANDOM_FOREST: "82ac81c8461182e31c2a2d886b93f14a8cc08ecf455399128a914a47790ef9f4",
+    DUMMY: "f4d59d968b7f6df588dab2f942655199b715635f2a1becafee2ef6b79758cfc7",
+}
 
 
-def _model_generator():
-    spec = importlib.util.spec_from_file_location(
-        "generate_models", MODEL_FIXTURES / "generate_models.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-@pytest.mark.parametrize("algo", ALGORITHMS)
-def test_save_load_round_trip(algo, tmp_path):
-    X, y = blobs(seed=19)
-    Q = np.random.Generator(np.random.PCG64(20)).normal(0, 4, (50, X.shape[1]))
-    model = train(AlgorithmSpec(algo, seed=21), X, y)
-    path = tmp_path / f"{algo}.model"
-    save_model(model, path)
-    back = load_model(path)
-    assert back.spec.algorithm == algo
-    assert np.array_equal(back.classes, model.classes)
-    assert np.array_equal(back.predict_scores(Q), model.predict_scores(Q))
-    assert np.array_equal(back.predict(Q), model.predict(Q))
-    state = model.state()
-    assert back.state().keys() == state.keys()
-    assert all(np.array_equal(back.state()[name], value) for name, value in state.items())
-
-
-def test_load_model_errors_are_located(tmp_path):
-    knn, logreg, forest = ((MODEL_FIXTURES / f"{algo}.model").read_text(encoding="utf-8")
-                           for algo in ("knn", "logistic_regression", "random_forest"))
-    points = knn.index("array points")
-    rows = [
-        (b"not-a-model 1\n", "line 1"),
-        (b"capsift-model 999\nend\n", "version"),
-        (b"capsift-model 1\nalgorithm knn\nend\n", "missing"),
-        (b"capsift-model 1\nalgorithm knn\nn_features 2\nclasses 0 1\n"
-         b"array train_x float64 2 2 2\n1.0 2.0\n", "line"),
-        (b"capsift-model 1\nalgorithm kn\xe9\n", "not valid UTF-8"),
-        ((knn[:points] + "end\n").encode(), "missing 'points'"),
-        (knn.replace("scalar k 5\n", "scalar k 5\nscalar leaf_size 30\n").encode(),
-         "unknown 'leaf_size'"),
-        (knn.replace("scaler 1\n", "hyperparam k 0\nscaler 1\n").encode(), "k must be >= 1"),
-        (logreg.replace("scaler 1\n", "hyperparam learning_rate nan\nscaler 1\n").encode(),
-         "learning_rate must be finite"),
-        (knn.replace("scalar k 5\n", "array k int64 1 1\n5\n").encode(), "'k' must be a scalar"),
-        ((knn[:points] + "scalar points 5\nend\n").encode(), "'points' must be an array"),
-        (forest.replace("scalar n_trees 3\n", "array n_trees int64 1 1\n3\n").encode(),
-         "'n_trees' must be a scalar"),
-    ]
-    path = tmp_path / "m.model"
-    for content, fragment in rows:
-        path.write_bytes(content)
-        with pytest.raises(ModelFormatError, match=fragment) as info:
-            load_model(path)
-        assert str(path) in str(info.value)
+def training_data() -> tuple[np.ndarray, np.ndarray]:
+    """Three separated 3-D blobs of 6 rows each, labels -1, 0, 1."""
+    rng = np.random.Generator(np.random.PCG64(5))
+    X = np.vstack([rng.normal(0.0, 1.0, (6, 3)) + 4.0 * np.eye(3)[i] for i in range(3)])
+    y = np.repeat([-1, 0, 1], 6)
+    return X, y
 
 
 @pytest.mark.parametrize("algo", ALGORITHMS)
-def test_saved_model_files_still_load(algo, tmp_path):
-    generator = _model_generator()
-    fresh = train(generator.SPECS[algo], *generator.training_data())
-    saved = MODEL_FIXTURES / f"{algo}.model"
-    model = load_model(saved)
+def test_training_output_is_pinned(algo):
+    model = train(SPECS[algo], *training_data())
     Q = np.random.Generator(np.random.PCG64(22)).normal(1, 3, (40, 3))
-    assert np.array_equal(model.predict_scores(Q), fresh.predict_scores(Q))
-    resaved = tmp_path / "resaved.model"
-    save_model(model, resaved)
-    assert np.array_equal(load_model(resaved).predict_scores(Q), fresh.predict_scores(Q))
-    if algo == LOGISTIC_REGRESSION:  # files now also carry loss_history
-        assert model.loss_history.shape == (0,)
-    else:
-        assert resaved.read_bytes() == saved.read_bytes()
+    scores = model.predict_scores(Q)
+    assert scores.dtype == np.float64 and scores.shape == (40, 3)
+    assert hashlib.sha256(scores.tobytes()).hexdigest() == PINNED_SCORES[algo]
+
+
+# --- public API ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("module", [capsift, capsift.classifiers], ids=lambda m: m.__name__)
+def test_public_api_names_resolve(module):
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert missing == []
+    namespace: dict = {}
+    exec(f"from {module.__name__} import *", namespace)
+    assert set(module.__all__) <= namespace.keys()
 
 
 def test_standardize_fit_population_std_and_zero_guard():

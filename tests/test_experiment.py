@@ -26,6 +26,7 @@ from capsift.experiment import (
     load_config,
     normalize_task,
     prepare_topic_embedding,
+    render_config,
     run_cell,
     run_experiment,
     stratified_split,
@@ -173,6 +174,33 @@ def test_fingerprint_ignores_output_dir(fixture_config):
     assert config_fingerprint(moved, topics) == a
     reseeded = dataclasses.replace(fixture_config, seed=fixture_config.seed + 1)
     assert config_fingerprint(reseeded, topics) != a
+
+
+def _config_with(tmp_path, name, extra):
+    """The fixture config, with absolute input paths, plus ``extra`` lines."""
+    text = (FIXTURES / "experiment.cfg").read_text(encoding="utf-8")
+    text = text.replace("captions_root = .", f"captions_root = {FIXTURES}")
+    for rel in ("manifest.csv", "embeddings/toy16_glove.txt", "embeddings/toy8_w2v.txt"):
+        text = text.replace(f"= {rel}", f"= {FIXTURES / rel}")
+    path = tmp_path / name
+    path.write_text(text + extra, encoding="utf-8")
+    config = load_config(path)
+    return config_fingerprint(config, config.topics), render_config(config, config.topics)
+
+
+def test_equal_hyperparameter_values_render_and_fingerprint_alike(tmp_path):
+    groups = [
+        ["", "knn.k = 5\n", "knn.k = 5.0\n"],
+        ["logistic_regression.l2 = 0\n", "logistic_regression.l2 = 0.0\n"],
+    ]
+    for group in groups:
+        results = {_config_with(tmp_path, f"{i}.cfg", extra) for i, extra in enumerate(group)}
+        assert len(results) == 1, group
+    assert "\nknn.k = 5\n" in _config_with(tmp_path, "k.cfg", "knn.k = 5.0\n")[1]
+    assert "\nlogistic_regression.l2 = 0.0\n" in _config_with(
+        tmp_path, "l2.cfg", "logistic_regression.l2 = 0\n")[1]
+    _, rendered = _config_with(tmp_path, "trees.cfg", "random_forest.trees = 1e2\n")
+    assert "\nrandom_forest.trees = 100\n" in rendered
 
 
 def test_derive_seed_matches_hash_construction():
