@@ -49,7 +49,6 @@ from .experiment import (
 from .metrics import (
     TASK_BINARY,
     TASK_THREE_CLASS,
-    ConfusionMatrix,
     EmbeddingScore,
     EvaluationReport,
     MetricsSummary,
@@ -79,7 +78,7 @@ __all__ = [
     "ALGORITHMS", "DEFAULT_HYPERPARAMS", "AlgorithmSpec", "TrainedModel",
     "train",
     # metrics
-    "TASK_THREE_CLASS", "TASK_BINARY", "ConfusionMatrix", "MetricsSummary",
+    "TASK_THREE_CLASS", "TASK_BINARY", "MetricsSummary",
     "EvaluationReport", "EmbeddingScore", "confusion_matrix",
     "classification_metrics", "roc_auc_binary", "rank_models",
     "embedding_performance", "evaluate_predictions",

@@ -31,7 +31,6 @@ class EmbeddingTable:
     """Word vectors parsed from one embedding file: ``index`` maps each word
     to its row of the (V, D) float64 ``matrix``."""
 
-    name: str
     index: dict[str, int]
     matrix: np.ndarray
     source_format: str
@@ -114,7 +113,7 @@ def _blocks(fh):
 
 
 def parse_embedding_file(
-    path: str | Path, name: str | None = None, vocab: Container[str] | None = None,
+    path: str | Path, vocab: Container[str] | None = None,
 ) -> EmbeddingTable:
     """Parse a GloVe-text or word2vec-text embedding file.
 
@@ -133,11 +132,9 @@ def parse_embedding_file(
     blocks, so memory follows the kept rows, not the file.
     """
     path = Path(path)
-    if name is None:
-        name = path.stem
     try:
         with open(path, encoding="utf-8") as fh:
-            return _parse(fh, path, name, vocab)
+            return _parse(fh, path, vocab)
     except OSError as exc:
         raise EmbeddingFormatError(f"cannot read embedding file: {exc}") from None
     except UnicodeDecodeError as exc:
@@ -150,7 +147,7 @@ def parse_embedding_file(
         raise EmbeddingFormatError(f"embedding file is not valid UTF-8: {path} ({exc})") from None
 
 
-def _parse(fh, path: Path, name: str, vocab: Container[str] | None) -> EmbeddingTable:
+def _parse(fh, path: Path, vocab: Container[str] | None) -> EmbeddingTable:
     header_vocab = None
     dim = None
     source_format = GLOVE_TEXT
@@ -213,7 +210,7 @@ def _parse(fh, path: Path, name: str, vocab: Container[str] | None) -> Embedding
             f"word2vec header declares {header_vocab} words but file has {data_lines}"
         )
     matrix = np.empty((0, dim)) if matrix is None else matrix[:len(index)].copy()
-    return EmbeddingTable(name=name, index=index, matrix=matrix, source_format=source_format)
+    return EmbeddingTable(index=index, matrix=matrix, source_format=source_format)
 
 
 def write_embedding_file(table: EmbeddingTable, path: str | Path) -> None:

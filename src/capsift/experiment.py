@@ -39,6 +39,7 @@ from .metrics import (
     EvaluationReport,
     embedding_performance,
     evaluate_predictions,
+    rank_models,
     report_csv_row,
 )
 from .smote import SmoteParams, smote
@@ -95,6 +96,8 @@ class ExperimentConfig:
         if not 1 <= len(self.embeddings) <= MAX_EMBEDDINGS:
             raise ConfigError(f"need 1..{MAX_EMBEDDINGS} embeddings, got {len(self.embeddings)}")
         names = [name for name, _ in self.embeddings]
+        if not all(names):
+            raise ConfigError("embedding name must not be empty")
         if len(set(names)) != len(names):
             raise ConfigError("duplicate embedding names")
         if not self.algorithms:
@@ -115,6 +118,8 @@ class ExperimentConfig:
             raise ConfigError("smote_k must be >= 1")
         if not self.t_values or any(t < 1 for t in self.t_values):
             raise ConfigError("t_values must be positive integers")
+        if len(set(self.t_values)) != len(self.t_values):
+            raise ConfigError("duplicate t_values")
         for algo, params in self.hyperparams.items():
             try:
                 AlgorithmSpec(algo, params)
@@ -210,12 +215,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         elif key == "algorithms":
             fields["algorithms"] = tuple(_split_list(value))
         elif key == "t_values":
-            seen: list[int] = []
-            for part in _split_list(value):
-                t = _parse_int(part, key)
-                if t not in seen:
-                    seen.append(t)
-            fields["t_values"] = tuple(seen)
+            fields["t_values"] = tuple(_parse_int(part, key) for part in _split_list(value))
         elif key == "seed":
             fields["seed"] = _parse_int(value, key)
         elif key == "out":
@@ -480,7 +480,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     loaded = [load_topic(topic, records, captions_root, stopwords) for topic in topics]
     vocab = {token for kept, _, _ in loaded for doc in kept for token in doc.tokens}
     tables = [
-        (name, parse_embedding_file(path, name=name, vocab=vocab))
+        (name, parse_embedding_file(path, vocab=vocab))
         for name, path in config.embeddings
     ]
 
@@ -510,7 +510,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     scores = [s for t in config.t_values for s in embedding_performance(pool, t)] if pool else []
     scores.sort(key=lambda s: (s.topic, s.task, s.embedding, s.top_t))
     best_models = [
-        min(group, key=lambda r: (-r.f1_weighted, r.model, r.embedding))
+        rank_models(list(group))[0]
         for _, group in itertools.groupby(pool, key=lambda r: (r.topic, r.task))
     ]
     best_models.sort(key=lambda r: (r.task, r.topic))

@@ -18,57 +18,17 @@ TASK_BINARY = "binary"
 
 
 @dataclass(frozen=True)
-class ConfusionMatrix:
-    """K x K counts; rows are true classes, columns predicted classes."""
-
-    classes: tuple[int, ...]
-    counts: np.ndarray
-
-    def __post_init__(self) -> None:
-        counts = np.asarray(self.counts, dtype=np.int64)
-        k = len(self.classes)
-        if counts.shape != (k, k):
-            raise ValueError(f"counts must be {k}x{k}, got {counts.shape}")
-        if np.any(counts < 0):
-            raise ValueError("confusion matrix counts must be nonnegative")
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def n(self) -> int:
-        return int(self.counts.sum())
-
-    @property
-    def support(self) -> np.ndarray:
-        """Number of true labels per class (row sums)."""
-        return self.counts.sum(axis=1)
-
-
-@dataclass(frozen=True)
-class ClassMetrics:
-    label: int
-    tp: int
-    fp: int
-    fn: int
-    precision: float
-    recall: float
-    f1: float
-
-
-@dataclass(frozen=True)
 class MetricsSummary:
-    """Per-class metrics plus support-weighted aggregates.
+    """Per-class precision, recall and F1 (arrays in class order) plus their
+    support-weighted means and accuracy."""
 
-    ``zero_division_fired`` is True when any divide-by-zero convention was
-    applied (precision with no predictions, recall with no support, F1 with
-    precision + recall = 0).
-    """
-
-    per_class: tuple[ClassMetrics, ...]
+    precision: np.ndarray
+    recall: np.ndarray
+    f1: np.ndarray
     precision_weighted: float
     recall_weighted: float
     f1_weighted: float
     accuracy: float
-    zero_division_fired: bool
 
 
 @dataclass(frozen=True)
@@ -104,72 +64,64 @@ class EmbeddingScore:
     mu: float
 
 
-def confusion_matrix(y_true, y_pred, classes) -> ConfusionMatrix:
-    """Count (true, predicted) label pairs over an ordered class list."""
-    y_true = list(y_true)
-    y_pred = list(y_pred)
+def confusion_matrix(y_true, y_pred, classes) -> np.ndarray:
+    """(K, K) int64 counts of (true, predicted) label pairs; rows are true
+    classes, columns predicted classes, both in the order of ``classes``.
+
+    A label matches a class only by equality, so 0.5 is in no integer class.
+    """
+    y_true = np.asarray(y_true)
+    y_pred = np.asarray(y_pred)
     if len(y_true) != len(y_pred):
         raise ValueError(f"length mismatch: {len(y_true)} true vs {len(y_pred)} predicted")
-    if not y_true:
+    if not len(y_true):
         raise ValueError("cannot build a confusion matrix from zero labels")
-    classes = tuple(int(c) for c in classes)
-    index = {c: i for i, c in enumerate(classes)}
-    counts = np.zeros((len(classes), len(classes)), dtype=np.int64)
-    for t, p in zip(y_true, y_pred):
-        try:
-            counts[index[int(t)], index[int(p)]] += 1
-        except KeyError as exc:
-            raise ValueError(f"label {exc.args[0]} not in classes {classes}") from None
-    return ConfusionMatrix(classes=classes, counts=counts)
+    classes = np.asarray(classes)
+    if len(np.unique(classes)) != len(classes):
+        raise ValueError(f"classes must be distinct, got {tuple(classes.tolist())}")
+    labels = np.stack((y_true, y_pred))
+    hits = labels[..., None] == classes  # (2, N, K), at most one hit per label
+    found = hits.any(axis=2)
+    if not found.all():
+        raise ValueError(f"label {labels[~found][0]} not in classes {tuple(classes.tolist())}")
+    true_index, pred_index = hits.argmax(axis=2)
+    k = len(classes)
+    pairs = np.bincount(true_index * k + pred_index, minlength=k * k)
+    return pairs.reshape(k, k).astype(np.int64)
 
 
-def classification_metrics(cm: ConfusionMatrix) -> MetricsSummary:
-    """Per-class and support-weighted precision/recall/F1, plus accuracy.
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den per class, 0 where den is 0."""
+    return np.divide(num, den, out=np.zeros(len(den)), where=den > 0)
+
+
+def classification_metrics(counts) -> MetricsSummary:
+    """Per-class and support-weighted precision/recall/F1, plus accuracy,
+    from a (K, K) confusion matrix.
 
     Conventions when a denominator is zero: precision_k = 0 when nothing was
     predicted as k, recall_k = 0 when class k has no true labels, f1_k = 0
     when precision_k + recall_k = 0.
     """
-    n = cm.n
+    counts = np.asarray(counts, dtype=np.int64)
+    if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:
+        raise ValueError(f"confusion matrix must be square, got shape {counts.shape}")
+    if np.any(counts < 0):
+        raise ValueError("confusion matrix counts must be nonnegative")
+    n = int(counts.sum())
     if n < 1:
         raise ValueError("confusion matrix is empty")
-    counts = cm.counts
-    per_class = []
-    fired = False
-    for i, label in enumerate(cm.classes):
-        tp = int(counts[i, i])
-        fp = int(counts[:, i].sum()) - tp
-        fn = int(counts[i, :].sum()) - tp
-        if tp + fp > 0:
-            precision = tp / (tp + fp)
-        else:
-            precision = 0.0
-            fired = True
-        if tp + fn > 0:
-            recall = tp / (tp + fn)
-        else:
-            recall = 0.0
-            fired = True
-        if precision + recall > 0:
-            f1 = 2 * (precision * recall) / (precision + recall)
-        else:
-            f1 = 0.0
-            fired = True
-        per_class.append(ClassMetrics(label, tp, fp, fn, precision, recall, f1))
+    tp = np.diagonal(counts)
+    support = counts.sum(axis=1)
+    precision = _ratio(tp, counts.sum(axis=0))
+    recall = _ratio(tp, support)
+    f1 = _ratio(2 * (precision * recall), precision + recall)
 
-    support = cm.support
-    precision_w = sum(int(s) * m.precision for s, m in zip(support, per_class)) / n
-    recall_w = sum(int(s) * m.recall for s, m in zip(support, per_class)) / n
-    f1_w = sum(int(s) * m.f1 for s, m in zip(support, per_class)) / n
-    accuracy = int(np.trace(counts)) / n
-    return MetricsSummary(
-        per_class=tuple(per_class),
-        precision_weighted=precision_w,
-        recall_weighted=recall_w,
-        f1_weighted=f1_w,
-        accuracy=accuracy,
-        zero_division_fired=fired,
-    )
+    # A sequential sum in class order: np.sum would add 8 or more terms in
+    # another order, which can round differently.
+    weighted = (sum(s * v for s, v in zip(support.tolist(), values.tolist())) / n
+                for values in (precision, recall, f1))
+    return MetricsSummary(precision, recall, f1, *weighted, int(np.trace(counts)) / n)
 
 
 def roc_auc_binary(y_true, scores) -> float:
@@ -198,18 +150,21 @@ def roc_auc_binary(y_true, scores) -> float:
 
 
 def rank_models(reports: list[EvaluationReport]) -> list[EvaluationReport]:
-    """Sort reports by weighted F1 descending, ties by model id ascending."""
+    """Sort reports by weighted F1 descending, ties by model, then embedding,
+    ascending. This is the one ranking rule: it orders the top-T models and
+    picks the best models."""
     if not reports:
         raise ValueError("no reports to rank")
-    return sorted(reports, key=lambda r: (-r.f1_weighted, r.model))
+    return sorted(reports, key=lambda r: (-r.f1_weighted, r.model, r.embedding))
 
 
 def embedding_performance(reports: list[EvaluationReport], top_t: int) -> list[EmbeddingScore]:
     """Mean weighted F1 of each (topic, task, embedding)'s top-T models.
 
     Reports are grouped by (topic, task, embedding) in first-appearance
-    order, each group ranked with the rank_models rule, and the first
-    min(T, count) F1 values averaged.
+    order, each group ranked by rank_models, the one ranking rule (F1
+    descending, ties by model), and the first min(T, count) F1 values
+    averaged.
     """
     if not reports:
         raise ValueError("no reports given")

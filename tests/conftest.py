@@ -16,9 +16,9 @@ def fixtures_dir() -> Path:
     return FIXTURES
 
 
-def make_table(vectors: dict, source_format: str = GLOVE_TEXT, name: str = "t") -> EmbeddingTable:
+def make_table(vectors: dict, source_format: str = GLOVE_TEXT) -> EmbeddingTable:
     """Embedding table holding ``vectors`` (word -> vector) in insertion order."""
-    return EmbeddingTable(name=name, index={word: row for row, word in enumerate(vectors)},
+    return EmbeddingTable(index={word: row for row, word in enumerate(vectors)},
                           matrix=np.array(list(vectors.values()), dtype=np.float64),
                           source_format=source_format)
 

@@ -351,7 +351,7 @@ def test_acceptance_10_embedding_round_trip(announce, tmp_path):
     bit_identical = True
     for fmt, fname in ((GLOVE_TEXT, "rt_glove.txt"), (WORD2VEC_TEXT, "rt_w2v.txt")):
         path = tmp_path / fname
-        write_embedding_file(make_table(vectors, fmt, name="rt"), path)
+        write_embedding_file(make_table(vectors, fmt), path)
         back = parse_embedding_file(path)
         bit_identical &= back.source_format == fmt and list(back.index) == words
         bit_identical &= all(

@@ -313,7 +313,7 @@ def toy_table():
         "moon": [1.0, 0.0],
         "rocket": [0.0, 1.0],
         "cheese": [1.0, 1.0],
-    }, name="toy")
+    })
 
 
 def test_vectorize_caption_mean_and_coverage():
@@ -366,7 +366,7 @@ def test_vectorize_matches_bruteforce_mean():
     # a 1-D table agrees only to rounding.
     for dim in (1, 2, 6, 50):
         vocab = {f"w{i}": rng.normal(0, 2, dim) for i in range(30)}
-        table = make_table(vocab, name="r")
+        table = make_table(vocab)
         words = list(vocab)[:20] + ["oov1", "oov2"]
         for length in (0, 1, 2, 9, 17, 200):
             tokens = [words[rng.integers(len(words))] for _ in range(length)]

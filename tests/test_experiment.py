@@ -95,6 +95,8 @@ def test_load_config_hyperparam_overrides(tmp_path):
         ("manifest = a.csv\nmanifest = b.csv\n", "line 2: key 'manifest' repeats line 1"),
         ("manifest = m.csv\nembedding.e = e.txt\nrandom_forest.trees = inf\n",
          "trees must be finite"),
+        ("manifest = m.csv\nembedding.e = e.txt\nt_values = 5,5\n", "duplicate t_values"),
+        ("manifest = m.csv\nembedding. = e.txt\n", "embedding name"),
     ],
 )
 def test_load_config_errors(tmp_path, body, fragment):
@@ -154,6 +156,8 @@ def base_config(**overrides):
         ({"hyperparams": {"logistic_regression": {"learning_rate": float("inf")}}},
          "learning_rate must be finite"),
         ({"hyperparams": {"random_forest": {"trees": float("inf")}}}, "trees must be finite"),
+        ({"embeddings": (("", Path("e.txt")),)}, "embedding name"),
+        ({"t_values": (5, 5)}, "duplicate t_values"),
     ],
 )
 def test_config_validation(overrides, fragment):
@@ -300,7 +304,7 @@ def prepared_splits(config):
         documents, _ = load_corpus(topic_records, config.captions_root, load_stopwords())
         kept, _ = filter_corpus(documents)
         for name, path in config.embeddings:
-            table = parse_embedding_file(path, name=name)
+            table = parse_embedding_file(path)
             splits[topic, name], _, _ = prepare_topic_embedding(config, topic, name, table, kept)
     return splits
 
@@ -373,7 +377,7 @@ def test_single_cell_reproduces_its_rows_of_the_full_sweep(fixture_run, fixture_
     records = [r for r in load_manifest(fixture_config.manifest) if r.topic.value == topic]
     documents, _ = load_corpus(records, fixture_config.captions_root, load_stopwords())
     kept, _ = filter_corpus(documents)
-    table = parse_embedding_file(dict(fixture_config.embeddings)[name], name=name)
+    table = parse_embedding_file(dict(fixture_config.embeddings)[name])
     prepared, exclusions, skipped = prepare_topic_embedding(
         fixture_config, topic, name, table, kept)
     assert [e.video_id for e in exclusions] == ["moon_oov"] and not skipped
@@ -389,9 +393,9 @@ def test_single_cell_reproduces_its_rows_of_the_full_sweep(fixture_run, fixture_
 def test_tables_are_parsed_for_the_kept_tokens_of_every_topic(fixture_config, monkeypatch):
     vocabs = []
 
-    def spy(path, name=None, vocab=None):
+    def spy(path, vocab=None):
         vocabs.append(vocab)
-        return parse_embedding_file(path, name=name, vocab=vocab)
+        return parse_embedding_file(path, vocab=vocab)
 
     monkeypatch.setattr(capsift.experiment, "parse_embedding_file", spy)
     run_experiment(fixture_config)

@@ -7,7 +7,6 @@ from capsift.metrics import (
     TASK_BINARY,
     TASK_THREE_CLASS,
     REPORT_CSV_HEADER,
-    ConfusionMatrix,
     EvaluationReport,
     classification_metrics,
     confusion_matrix,
@@ -54,10 +53,13 @@ def oracle_auc(y_true, scores):
 
 def test_confusion_matrix_counts():
     cm = confusion_matrix([1, 1, 0, 0, 0], [1, 0, 0, 0, 1], classes=[0, 1])
-    assert cm.classes == (0, 1)
-    assert cm.counts.tolist() == [[2, 1], [1, 1]]
-    assert cm.n == 5
-    assert cm.support.tolist() == [3, 2]
+    assert cm.dtype == np.int64
+    assert cm.tolist() == [[2, 1], [1, 1]]
+    assert cm.sum() == 5
+    assert cm.sum(axis=1).tolist() == [3, 2]
+    # rows and columns follow the given class order
+    cm = confusion_matrix([1, 1, 0, 0, 0], [1, 0, 0, 0, 1], classes=[1, 0])
+    assert cm.tolist() == [[1, 1], [1, 2]]
 
 
 def test_confusion_matrix_errors():
@@ -67,6 +69,10 @@ def test_confusion_matrix_errors():
         confusion_matrix([], [], classes=[0, 1])
     with pytest.raises(ValueError, match="not in classes"):
         confusion_matrix([0, 2], [0, 0], classes=[0, 1])
+    with pytest.raises(ValueError, match="not in classes"):
+        confusion_matrix([0.5, 1], [0, 1], classes=[0, 1])
+    with pytest.raises(ValueError, match="distinct"):
+        confusion_matrix([0, 1], [0, 1], classes=[0, 1, 1])
 
 
 def test_hand_check_weighted_f1_exact():
@@ -78,7 +84,6 @@ def test_hand_check_weighted_f1_exact():
     assert m.accuracy == 0.6
     assert m.precision_weighted == 0.6
     assert m.recall_weighted == 0.6
-    assert not m.zero_division_fired
 
 
 def test_metrics_match_oracle_randomized():
@@ -86,17 +91,22 @@ def test_metrics_match_oracle_randomized():
     for _ in range(300):
         k = int(rng.choice([2, 3, 5]))
         classes = list(range(k))
+        if rng.integers(2):  # the counts must follow the given class order
+            classes = rng.permutation(classes).tolist()
         n = int(rng.integers(5, 120))
         y_true = rng.integers(0, k, n).tolist()
         y_pred = rng.integers(0, k, n).tolist()
-        m = classification_metrics(confusion_matrix(y_true, y_pred, classes))
+        cm = confusion_matrix(y_true, y_pred, classes)
+        m = classification_metrics(cm)
         per_class, weighted, accuracy = oracle_metrics(y_true, y_pred, classes)
-        for cm_row in m.per_class:
-            tp, fp, fn, precision, recall, f1 = per_class[cm_row.label]
-            assert (cm_row.tp, cm_row.fp, cm_row.fn) == (tp, fp, fn)
-            assert cm_row.precision == precision
-            assert cm_row.recall == recall
-            assert cm_row.f1 == f1
+        tp = np.diagonal(cm)
+        fp = cm.sum(axis=0) - tp
+        fn = cm.sum(axis=1) - tp
+        for i, c in enumerate(classes):
+            assert (tp[i], fp[i], fn[i]) == per_class[c][:3]
+            assert m.precision[i] == per_class[c][3]
+            assert m.recall[i] == per_class[c][4]
+            assert m.f1[i] == per_class[c][5]
         assert m.precision_weighted == weighted[0]
         assert m.recall_weighted == weighted[1]
         assert m.f1_weighted == weighted[2]
@@ -109,10 +119,8 @@ def test_zero_division_conventions():
     # class 1 never predicted -> precision 0; class 2 has no support -> recall 0
     cm = confusion_matrix([0, 0, 1], [0, 0, 0], classes=[0, 1, 2])
     m = classification_metrics(cm)
-    by_label = {c.label: c for c in m.per_class}
-    assert by_label[1].precision == 0.0 and by_label[1].f1 == 0.0
-    assert by_label[2].recall == 0.0 and by_label[2].f1 == 0.0
-    assert m.zero_division_fired
+    assert m.precision[1] == 0.0 and m.f1[1] == 0.0
+    assert m.recall[2] == 0.0 and m.f1[2] == 0.0
 
 
 # --- AUC --------------------------------------------------------------------
@@ -160,6 +168,9 @@ def test_rank_models_orders_by_f1_then_name():
     reports = [make_report("svm", 0.8), make_report("knn", 0.9),
                make_report("ada", 0.8), make_report("nb", 0.95)]
     assert [r.model for r in rank_models(reports)] == ["nb", "knn", "ada", "svm"]
+    # equal F1 and model: the embedding decides
+    tied = [make_report("knn", 0.9, embedding="w2v"), make_report("knn", 0.9, embedding="glove")]
+    assert [r.embedding for r in rank_models(tied)] == ["glove", "w2v"]
 
 
 def test_embedding_performance_worked_examples():
@@ -244,7 +255,7 @@ def test_csv_row_full_precision():
 
 
 def test_confusion_matrix_rejects_bad_shape():
-    with pytest.raises(ValueError, match="2x2"):
-        ConfusionMatrix(classes=(0, 1), counts=np.zeros((3, 3), dtype=np.int64))
+    with pytest.raises(ValueError, match="square"):
+        classification_metrics(np.zeros((2, 3), dtype=np.int64))
     with pytest.raises(ValueError, match="nonnegative"):
-        ConfusionMatrix(classes=(0, 1), counts=np.array([[1, -1], [0, 0]]))
+        classification_metrics(np.array([[1, -1], [0, 0]]))
