@@ -59,7 +59,7 @@ from .metrics import (
     rank_models,
     roc_auc_binary,
 )
-from .smote import ResampledDataset, SmoteParams, smote
+from .smote import ResampledDataset, smote
 
 __version__ = "0.1.0"
 
@@ -73,7 +73,7 @@ __all__ = [
     "EmbeddingTable", "CaptionVector", "EmbeddingFormatError",
     "parse_embedding_file", "write_embedding_file", "vectorize_caption",
     # smote
-    "SmoteParams", "ResampledDataset", "smote",
+    "ResampledDataset", "smote",
     # classifiers
     "ALGORITHMS", "DEFAULT_HYPERPARAMS", "AlgorithmSpec", "TrainedModel",
     "train",

@@ -53,6 +53,7 @@ _HYPERPARAM_RULES: dict[str, tuple[float, bool, bool]] = {
     "min_leaf": (1, False, True),
     "bootstrap": (0, False, True),
 }
+_FLAGS = ("standardize", "bootstrap")
 
 
 @dataclass(frozen=True)
@@ -80,6 +81,8 @@ class AlgorithmSpec:
                 raise ValueError(f"{self.algorithm}.{key} must be finite, got {value!r}")
             if integral and int(value) != value:
                 raise ValueError(f"{self.algorithm}.{key} must be an integer, got {value!r}")
+            if key in _FLAGS and value not in (0, 1):
+                raise ValueError(f"{self.algorithm}.{key} must be 0 or 1, got {value!r}")
             if (value <= minimum) if strict else (value < minimum):
                 op = ">" if strict else ">="
                 raise ValueError(f"{self.algorithm}.{key} must be {op} {minimum}, got {value!r}")

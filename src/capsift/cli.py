@@ -21,6 +21,7 @@ from .experiment import (
     emit_report,
     load_config,
     normalize_task,
+    parse_topics,
     run_experiment,
 )
 
@@ -60,8 +61,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     config = load_config(args.config)
     overrides = {}
-    if args.topics:
-        overrides["topics"] = tuple(t.strip() for t in args.topics.split(",") if t.strip())
+    if args.topics is not None:
+        overrides["topics"] = parse_topics(args.topics)
     if args.task:
         overrides["task"] = normalize_task(args.task)
     if args.seed is not None:

@@ -42,7 +42,7 @@ from .metrics import (
     rank_models,
     report_csv_row,
 )
-from .smote import SmoteParams, smote
+from .smote import smote
 
 TASK_BOTH = "both"
 _TASK_ALIASES = {
@@ -161,6 +161,15 @@ def _split_list(value: str) -> list[str]:
     return [part.strip() for part in value.split(",") if part.strip()]
 
 
+def parse_topics(value: str) -> tuple[str, ...]:
+    """A comma-separated topic list. A list that names no topic is an error;
+    leaving the list out is how every topic is selected."""
+    topics = tuple(_split_list(value))
+    if not topics:
+        raise ConfigError(f"topics: names no topic, got {value!r}")
+    return topics
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse a flat ``key = value`` config file.
 
@@ -205,7 +214,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         elif key.startswith("embedding."):
             embeddings.append((key[len("embedding."):], resolve(value)))
         elif key == "topics":
-            fields["topics"] = tuple(_split_list(value))
+            fields["topics"] = parse_topics(value)
         elif key == "task":
             fields["task"] = normalize_task(value)
         elif key == "test_fraction":
@@ -436,7 +445,7 @@ def run_cell(
             "a training class has fewer than 2 samples; cannot balance")]
     smote_seed = derive_seed(config.seed, topic, task, name, "__smote__")
     balanced = smote(prepared.features[prepared.train_idx], y_train,
-                     SmoteParams(k_neighbors=config.smote_k, seed=smote_seed))
+                     k_neighbors=config.smote_k, seed=smote_seed)
     X_test = prepared.features[prepared.test_idx]
     eval_classes = np.unique(y)
     reports: list[EvaluationReport] = []

@@ -103,9 +103,12 @@ def classification_metrics(counts) -> MetricsSummary:
     predicted as k, recall_k = 0 when class k has no true labels, f1_k = 0
     when precision_k + recall_k = 0.
     """
-    counts = np.asarray(counts, dtype=np.int64)
+    counts = np.asarray(counts)
     if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:
         raise ValueError(f"confusion matrix must be square, got shape {counts.shape}")
+    if not np.all(np.isfinite(counts) & (counts == np.trunc(counts))):
+        raise ValueError("confusion matrix counts must be integers")
+    counts = counts.astype(np.int64)
     if np.any(counts < 0):
         raise ValueError("confusion matrix counts must be nonnegative")
     n = int(counts.sum())

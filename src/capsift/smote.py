@@ -2,8 +2,8 @@
 
 Synthetic minority samples are drawn on the segment between a class member
 and one of its k nearest same-class neighbors (Euclidean distance). Every
-synthetic row carries (base, neighbor, u) provenance so tests can verify the
-interpolation exactly.
+synthetic row comes with the (base, neighbor, u) it was built from, so tests
+can verify the interpolation exactly.
 """
 
 from __future__ import annotations
@@ -12,60 +12,54 @@ from dataclasses import dataclass
 
 import numpy as np
 
-@dataclass(frozen=True)
-class SmoteParams:
-    k_neighbors: int = 5
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.k_neighbors < 1:
-            raise ValueError("k_neighbors must be >= 1")
-
 
 @dataclass(frozen=True)
-class SyntheticProvenance:
-    """Origin of one synthetic row: s = X[base] + u * (X[neighbor] - X[base])."""
-
-    base_index: int
-    neighbor_index: int
-    u: float
-
-
-@dataclass
 class ResampledDataset:
     """Balanced dataset: original rows first (unchanged, input order), then
-    synthetic rows, one provenance entry per synthetic row."""
+    synthetic rows.
+
+    Synthetic row r is ``X[base[r]] + u[r] * (X[neighbor[r]] - X[base[r]])``
+    for the input features X: ``base`` and ``neighbor`` are int64 indices
+    into the input rows and ``u`` is float64, all empty when nothing was
+    synthesized.
+    """
 
     features: np.ndarray
     labels: np.ndarray
     synthetic_mask: np.ndarray
-    provenance: tuple[SyntheticProvenance, ...]
+    base: np.ndarray
+    neighbor: np.ndarray
+    u: np.ndarray
 
 
-def _neighbor_table(points: np.ndarray, k: int) -> list[np.ndarray]:
-    """k nearest neighbors (local indices) for every row, self excluded.
+def _neighbor_table(points: np.ndarray, k: int, rows) -> np.ndarray:
+    """k nearest neighbors (local indices) of each of ``rows``, self excluded,
+    as a (len(rows), k) int64 array.
 
     Distance ties break toward the lower index, so results are deterministic.
     Distances are computed one row at a time, so memory grows with n * D.
     """
-    neighbors = []
-    for i in range(len(points)):
+    table = np.empty((len(rows), k), dtype=np.int64)
+    for slot, i in enumerate(rows):
         diffs = points[i] - points
         order = np.argsort(np.einsum("jk,jk->j", diffs, diffs), kind="stable")
-        order = order[order != i]
-        neighbors.append(order[:k])
-    return neighbors
+        table[slot] = order[order != i][:k]
+    return table
 
 
-def smote(features: np.ndarray, labels: np.ndarray, params: SmoteParams) -> ResampledDataset:
+def smote(features: np.ndarray, labels: np.ndarray, k_neighbors: int = 5,
+          seed: int = 0) -> ResampledDataset:
     """Oversample every minority class up to the majority-class count.
 
     For each synthetic point a class member x_i is chosen uniformly, then one
     of its k nearest same-class neighbors x_j uniformly, then u ~ U[0, 1];
     the point is x_i + u * (x_j - x_i). The effective k is
     min(k_neighbors, class_count - 1). Deterministic given the seed (draw
-    order per row: base, neighbor, u).
+    order per row: base, neighbor, u). Neighbors are searched only for the
+    members drawn as a base.
     """
+    if k_neighbors < 1:
+        raise ValueError("k_neighbors must be >= 1")
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
     if features.ndim != 2 or features.shape[0] < 2 or features.shape[1] < 1:
@@ -83,46 +77,31 @@ def smote(features: np.ndarray, labels: np.ndarray, params: SmoteParams) -> Resa
             raise ValueError(f"class {cls} has {count} sample(s); SMOTE needs at least 2")
     majority = int(counts.max())
 
-    rng = np.random.Generator(np.random.PCG64(params.seed))
-    synthetic_rows: list[np.ndarray] = []
-    synthetic_labels: list = []
-    provenance: list[SyntheticProvenance] = []
-
+    rng = np.random.Generator(np.random.PCG64(seed))
+    bases, neighbors, us = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
     for cls, count in zip(classes, counts):
         need = majority - int(count)
         if need == 0:
             continue
         members = np.flatnonzero(labels == cls)
-        points = features[members]
-        k = min(params.k_neighbors, len(members) - 1)
-        neighbors = _neighbor_table(points, k)
-        for _ in range(need):
-            i_local = int(rng.integers(len(members)))
-            j_local = int(neighbors[i_local][int(rng.integers(k))])
-            u = float(rng.random())
-            base = features[members[i_local]]
-            row = base + u * (features[members[j_local]] - base)
-            synthetic_rows.append(row)
-            synthetic_labels.append(cls)
-            provenance.append(SyntheticProvenance(
-                base_index=int(members[i_local]),
-                neighbor_index=int(members[j_local]),
-                u=u,
-            ))
+        k = min(k_neighbors, len(members) - 1)
+        draws = [(rng.integers(len(members)), rng.integers(k), rng.random())
+                 for _ in range(need)]
+        base_slot, neighbor_slot, u = (np.array(column) for column in zip(*draws))
+        drawn, row = np.unique(base_slot, return_inverse=True)
+        table = _neighbor_table(features[members], k, drawn)
+        bases.append(members[base_slot])
+        neighbors.append(members[table[row, neighbor_slot]])
+        us.append(u)
 
+    base, neighbor, u = (np.concatenate(parts) for parts in (bases, neighbors, us))
+    synthetic = features[base] + u[:, None] * (features[neighbor] - features[base])
     n_orig = features.shape[0]
-    n_syn = len(synthetic_rows)
-    if n_syn:
-        out_features = np.vstack([features, np.array(synthetic_rows)])
-        out_labels = np.concatenate([labels, np.array(synthetic_labels, dtype=labels.dtype)])
-    else:
-        out_features = features.copy()
-        out_labels = labels.copy()
-    mask = np.zeros(n_orig + n_syn, dtype=bool)
-    mask[n_orig:] = True
     return ResampledDataset(
-        features=out_features,
-        labels=out_labels,
-        synthetic_mask=mask,
-        provenance=tuple(provenance),
+        features=np.vstack([features, synthetic]),
+        labels=np.concatenate([labels, labels[base]]),
+        synthetic_mask=np.arange(n_orig + len(base)) >= n_orig,
+        base=base,
+        neighbor=neighbor,
+        u=u,
     )

@@ -41,7 +41,7 @@ from capsift.metrics import (
     embedding_performance,
     roc_auc_binary,
 )
-from capsift.smote import SmoteParams, smote
+from capsift.smote import smote
 
 FIXTURES = Path(__file__).parent / "fixtures"
 NON_DUMMY = ("knn", "nearest_centroid", "logistic_regression",
@@ -181,20 +181,21 @@ def test_acceptance_04_smote_properties(announce):
         X = rng.normal(0, 3, (int(counts.sum()), d))
         y = np.repeat(np.arange(k_classes), counts)
         rng.shuffle(y)
-        params = SmoteParams(k_neighbors=int(rng.integers(1, 8)), seed=trial)
+        k = int(rng.integers(1, 8))
 
-        out = smote(X, y, params)
+        out = smote(X, y, k_neighbors=k, seed=trial)
         _, balanced_counts = np.unique(out.labels, return_counts=True)
         assert (balanced_counts == counts.max()).all(), f"trial {trial}: not uniform"
         n = len(y)
         assert np.array_equal(out.features[:n], X) and np.array_equal(out.labels[:n], y)
-        for row, prov in zip(out.features[n:], out.provenance):
-            expected = X[prov.base_index] + prov.u * (X[prov.neighbor_index] - X[prov.base_index])
+        for row, base, nb, u in zip(out.features[n:], out.base, out.neighbor, out.u):
+            expected = X[base] + u * (X[nb] - X[base])
             assert np.abs(row - expected).max() <= 1e-9, f"trial {trial}: provenance"
-            assert y[prov.base_index] == y[prov.neighbor_index]
-        again = smote(X, y, params)
+            assert y[base] == y[nb]
+        again = smote(X, y, k_neighbors=k, seed=trial)
         assert np.array_equal(out.features, again.features)
-        assert out.provenance == again.provenance
+        assert all(np.array_equal(getattr(out, f), getattr(again, f))
+                   for f in ("base", "neighbor", "u"))
     elapsed = time.perf_counter() - started
     announce(4, "oversampling_properties", elapsed < 10.0,
              f"200 datasets: uniform counts, provenance <= 1e-9, seeded reruns equal, "

@@ -55,6 +55,10 @@ def test_spec_rejects_unknown_and_invalid_hyperparams():
         AlgorithmSpec(LOGISTIC_REGRESSION, {"learning_rate": 0.0})
     with pytest.raises(ValueError, match="var_smoothing"):
         AlgorithmSpec(GAUSSIAN_NB, {"var_smoothing": -1e-9})
+    with pytest.raises(ValueError, match="bootstrap must be 0 or 1"):
+        AlgorithmSpec(RANDOM_FOREST, {"bootstrap": 7})
+    with pytest.raises(ValueError, match="standardize must be 0 or 1"):
+        AlgorithmSpec(NEAREST_CENTROID, {"standardize": 7})
 
 
 def test_spec_defaults_cover_every_algorithm():

@@ -97,6 +97,7 @@ def test_load_config_hyperparam_overrides(tmp_path):
          "trees must be finite"),
         ("manifest = m.csv\nembedding.e = e.txt\nt_values = 5,5\n", "duplicate t_values"),
         ("manifest = m.csv\nembedding. = e.txt\n", "embedding name"),
+        ("manifest = m.csv\nembedding.e = e.txt\ntopics =\n", "names no topic"),
     ],
 )
 def test_load_config_errors(tmp_path, body, fragment):
@@ -555,6 +556,16 @@ def test_cli_run_missing_topic_is_partial(tmp_path, capsys):
     assert "skipped" in captured.err
     log = (tmp_path / "out" / "exclusions.log").read_text(encoding="utf-8")
     assert "flatearth" in log
+
+
+def test_cli_run_topic_list_naming_no_topic_is_an_error(tmp_path, capsys):
+    for topics in (",", ""):
+        code = main(["run", "--config", str(FIXTURES / "experiment.cfg"),
+                     "--topics", topics, "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert captured.err.startswith("error: topics: names no topic")
+    assert not (tmp_path / "out").exists()
 
 
 _CLASS_WORDS = {

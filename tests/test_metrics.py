@@ -259,3 +259,7 @@ def test_confusion_matrix_rejects_bad_shape():
         classification_metrics(np.zeros((2, 3), dtype=np.int64))
     with pytest.raises(ValueError, match="nonnegative"):
         classification_metrics(np.array([[1, -1], [0, 0]]))
+    for bad in ([[1.9, 0], [0, 1]], [[np.nan, 0], [0, 1]]):
+        with pytest.raises(ValueError, match="integers"):
+            classification_metrics(bad)
+    assert classification_metrics([[2.0, 0.0], [0.0, 1.0]]).f1.tolist() == [1.0, 1.0]
