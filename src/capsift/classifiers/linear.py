@@ -94,7 +94,8 @@ class LinearSvmModel(TrainedModel):
 
 def _train_linear_svm(spec: AlgorithmSpec, X, y_codes, classes):
     """Subgradient descent on 0.5*||w||^2 + c * mean(hinge), one binary
-    one-vs-rest problem per class."""
+    one-vs-rest problem per class, all K trained together: row r of the
+    (K, n) target matrix ``T`` is +1 on class r and -1 elsewhere."""
     params = spec.resolved()
     lr = params["learning_rate"]
     c = params["c"]
@@ -103,19 +104,16 @@ def _train_linear_svm(spec: AlgorithmSpec, X, y_codes, classes):
     Z = scaler.transform(X)
     n, d = Z.shape
     k = len(classes)
+    T = np.where(np.arange(k)[:, None] == y_codes, 1.0, -1.0)
+    # W @ ZT on a contiguous Z^T takes about half the time of Z @ W.T
+    ZT = np.ascontiguousarray(Z.T)
     W = np.zeros((k, d))
     b = np.zeros(k)
-    for cls_idx in range(k):
-        t = np.where(y_codes == cls_idx, 1.0, -1.0)
-        w = np.zeros(d)
-        w0 = 0.0
-        for _ in range(iterations):
-            margins = t * (Z @ w + w0)
-            viol = margins < 1.0
-            grad_w = w - (c / n) * (t[viol] @ Z[viol])
-            grad_b = -(c / n) * t[viol].sum()
-            w = w - lr * grad_w
-            w0 = w0 - lr * grad_b
-        W[cls_idx] = w
-        b[cls_idx] = w0
+    for _ in range(iterations):
+        # the targets of the margin violators, zero elsewhere
+        TV = T * (T * (W @ ZT + b[:, None]) < 1.0)
+        grad_w = W - (c / n) * (TV @ Z)
+        grad_b = -(c / n) * TV.sum(axis=1)
+        W = W - lr * grad_w
+        b = b - lr * grad_b
     return LinearSvmModel(spec, classes, scaler, d, W, b)

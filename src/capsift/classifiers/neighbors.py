@@ -19,6 +19,10 @@ def _squared_distances(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
     return np.maximum(d2, 0.0)
 
 
+# query rows per distance block, so prediction memory is CHUNK_ROWS x n_train
+CHUNK_ROWS = 256
+
+
 @dataclass(frozen=True, eq=False)
 class KnnModel(TrainedModel):
     """Stores the (standardized) training points; scores are the vote
@@ -30,9 +34,12 @@ class KnnModel(TrainedModel):
 
     def _scores(self, Z: np.ndarray) -> np.ndarray:
         k = min(self.k, len(self.points))
-        d2 = _squared_distances(Z, self.points)
-        # stable argsort: equal distances resolve toward the lower point index
-        nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        nearest = np.empty((len(Z), k), dtype=np.intp)
+        for start in range(0, len(Z), CHUNK_ROWS):
+            chunk = Z[start:start + CHUNK_ROWS]
+            d2 = _squared_distances(chunk, self.points)
+            # stable argsort: equal distances resolve toward the lower point index
+            nearest[start:start + len(chunk)] = np.argsort(d2, axis=1, kind="stable")[:, :k]
         votes = self.point_codes[nearest]
         scores = np.zeros((Z.shape[0], len(self.classes)))
         for c in range(len(self.classes)):

@@ -67,7 +67,9 @@ def _cmd_run(args) -> int:
         overrides["task"] = normalize_task(args.task)
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if args.out:
+    if args.out is not None:
+        if not args.out.strip():
+            raise ConfigError(f"--out: names no directory, got {args.out!r}")
         overrides["out_dir"] = Path(args.out)
     if overrides:
         config = dataclasses.replace(config, **overrides)

@@ -311,7 +311,7 @@ PINNED_SCORES = {
     KNN: "a75f97e1441f7dc0d0fcfd5ef1f47763c966c162721ffbf41ca34f6df9691d7e",
     NEAREST_CENTROID: "ce04646f4a30d95d0dd3965be5310b5762152ea25e080bb10773ec3f365e9539",
     LOGISTIC_REGRESSION: "d81a6bef4da5fd004b08f11a0aec4e6b0371be9c0b7c65cfafb541076937dba6",
-    LINEAR_SVM: "fa6da4030242270ae275ebbfe03285ffcf6cd6e5fcfd46beb0041577ac998cc8",
+    LINEAR_SVM: "022496df3528bb96347e8b0138c747e1c977a9ea25efbe2bdde1a0d9afe9c993",
     GAUSSIAN_NB: "1ae6d9f465dc4278ac3c885b342617062723682af2896340aba9b3aabd1877f2",
     RANDOM_FOREST: "82ac81c8461182e31c2a2d886b93f14a8cc08ecf455399128a914a47790ef9f4",
     DUMMY: "f4d59d968b7f6df588dab2f942655199b715635f2a1becafee2ef6b79758cfc7",

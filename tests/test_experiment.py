@@ -568,6 +568,18 @@ def test_cli_run_topic_list_naming_no_topic_is_an_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_run_empty_out_is_an_error(monkeypatch, capsys):
+    def no_run(config):
+        raise AssertionError(f"ran the experiment into {config.out_dir}")
+
+    monkeypatch.setattr(capsift.cli, "run_experiment", no_run)
+    for value in ("", " "):
+        code = main(["run", "--config", str(FIXTURES / "experiment.cfg"), "--out", value])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert captured.err.startswith("error: --out: names no directory")
+
+
 _CLASS_WORDS = {
     -1: ("debunked", "refuted", "factcheck", "evidence", "study", "research"),
     0: ("recipe", "gaming", "tutorial", "travel", "weather", "music"),
