@@ -1,10 +1,10 @@
 """capsift: classify video captions as misinformation, debunking, or neutral.
 
 The pipeline: preprocess captions (corpus), average pretrained word vectors
-into caption features (embeddings), balance classes with synthetic
-oversampling (smote), sweep a suite of classifiers (classifiers), score them
-with support-weighted metrics (metrics), and orchestrate everything per topic
-with deterministic seeding (experiment, cli).
+into caption features (embeddings), balance classes with SMOTE synthetic
+oversampling (oversampling), sweep a suite of classifiers (classifiers),
+score them with support-weighted metrics (metrics), and orchestrate
+everything per topic with deterministic seeding (experiment, cli).
 """
 
 from .classifiers import (
@@ -59,7 +59,7 @@ from .metrics import (
     rank_models,
     roc_auc_binary,
 )
-from .smote import ResampledDataset, smote
+from .oversampling import ResampledDataset, smote
 
 __version__ = "0.1.0"
 
@@ -72,7 +72,7 @@ __all__ = [
     # embeddings
     "EmbeddingTable", "CaptionVector", "EmbeddingFormatError",
     "parse_embedding_file", "write_embedding_file", "vectorize_caption",
-    # smote
+    # oversampling
     "ResampledDataset", "smote",
     # classifiers
     "ALGORITHMS", "DEFAULT_HYPERPARAMS", "AlgorithmSpec", "TrainedModel",

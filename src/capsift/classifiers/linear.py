@@ -12,21 +12,25 @@ from .base import AlgorithmSpec, TrainedModel, softmax, standardize_fit
 _MIN_STEP = 1e-12
 
 
-def cross_entropy_loss_and_grad(weights, bias, X, onehot, l2):
-    """Mean softmax cross-entropy with an 0.5 * l2 * ||W||^2 penalty.
+def cross_entropy_loss_and_grad(weights, bias, XT, targets, l2):
+    """Mean softmax cross-entropy with an 0.5 * l2 * ||W||^2 penalty, on
+    class-major arrays: ``XT`` is the (d, n) transposed design matrix and
+    ``targets`` the (K, n) one-hot labels.
 
     Returns (loss, grad_weights, grad_bias). The bias is not penalized.
     """
-    n = X.shape[0]
-    logits = X @ weights.T + bias
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    n = XT.shape[1]
+    # reductions run over axis 0, the short class axis, so each is one pass
+    # over contiguous rows instead of a strided pass per sample
+    logits = weights @ XT + bias[:, None]
+    shifted = logits - logits.max(axis=0)
     exp = np.exp(shifted)
-    log_probs = shifted - np.log(exp.sum(axis=1, keepdims=True))
+    log_probs = shifted - np.log(exp.sum(axis=0))
     probs = np.exp(log_probs)
-    loss = -float((onehot * log_probs).sum()) / n + 0.5 * l2 * float((weights ** 2).sum())
-    delta = probs - onehot
-    grad_w = delta.T @ X / n + l2 * weights
-    grad_b = delta.mean(axis=0)
+    loss = -float((targets * log_probs).sum()) / n + 0.5 * l2 * float((weights ** 2).sum())
+    delta = probs - targets
+    grad_w = delta @ XT.T / n + l2 * weights
+    grad_b = delta.mean(axis=1)
     return loss, grad_w, grad_b
 
 
@@ -54,20 +58,20 @@ def _train_logistic_regression(spec: AlgorithmSpec, X, y_codes, classes):
     iterations = params["iterations"]
     scaler = standardize_fit(X)
     Z = scaler.transform(X)
-    n, d = Z.shape
+    d = Z.shape[1]
     k = len(classes)
-    onehot = np.zeros((n, k))
-    onehot[np.arange(n), y_codes] = 1.0
+    targets = (np.arange(k)[:, None] == y_codes).astype(float)
+    ZT = np.ascontiguousarray(Z.T)
 
     W = np.zeros((k, d))
     b = np.zeros(k)
-    loss, gw, gb = cross_entropy_loss_and_grad(W, b, Z, onehot, l2)
+    loss, gw, gb = cross_entropy_loss_and_grad(W, b, ZT, targets, l2)
     history = [loss]
     for _ in range(iterations):
         while True:
             W_new = W - lr * gw
             b_new = b - lr * gb
-            loss_new, gw_new, gb_new = cross_entropy_loss_and_grad(W_new, b_new, Z, onehot, l2)
+            loss_new, gw_new, gb_new = cross_entropy_loss_and_grad(W_new, b_new, ZT, targets, l2)
             if loss_new <= loss:
                 break
             if lr <= _MIN_STEP:

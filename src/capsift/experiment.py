@@ -42,7 +42,7 @@ from .metrics import (
     rank_models,
     report_csv_row,
 )
-from .smote import smote
+from .oversampling import smote
 
 TASK_BOTH = "both"
 _TASK_ALIASES = {
@@ -186,7 +186,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"config is not valid UTF-8: {path} ({exc})") from None
     base = path.parent
 
-    def resolve(p: str) -> Path:
+    def resolve(p: str, key: str, line_no: int) -> Path:
+        if not p:
+            # Path("") is ".", which would quietly mean the config's directory
+            raise ConfigError(f"{path}: line {line_no}: key {key!r} names no path")
         candidate = Path(p)
         return candidate if candidate.is_absolute() else base / candidate
 
@@ -208,11 +211,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
                 f"{path}: line {line_no}: key {key!r} repeats line {key_lines[key]}")
         key_lines[key] = line_no
         if key == "manifest":
-            fields["manifest"] = resolve(value)
+            fields["manifest"] = resolve(value, key, line_no)
         elif key == "captions_root":
-            fields["captions_root"] = resolve(value)
+            fields["captions_root"] = resolve(value, key, line_no)
         elif key.startswith("embedding."):
-            embeddings.append((key[len("embedding."):], resolve(value)))
+            embeddings.append((key[len("embedding."):], resolve(value, key, line_no)))
         elif key == "topics":
             fields["topics"] = parse_topics(value)
         elif key == "task":
@@ -228,7 +231,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         elif key == "seed":
             fields["seed"] = _parse_int(value, key)
         elif key == "out":
-            fields["out_dir"] = resolve(value)
+            fields["out_dir"] = resolve(value, key, line_no)
         elif "." in key:
             algo, _, param = key.partition(".")
             if algo not in ALGORITHMS:

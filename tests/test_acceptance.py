@@ -41,7 +41,7 @@ from capsift.metrics import (
     embedding_performance,
     roc_auc_binary,
 )
-from capsift.smote import smote
+from capsift.oversampling import smote
 
 FIXTURES = Path(__file__).parent / "fixtures"
 NON_DUMMY = ("knn", "nearest_centroid", "logistic_regression",
@@ -219,10 +219,10 @@ def test_acceptance_05_gradient_check(announce):
         W = rng.normal(0, 0.8, (k, d))
         b = rng.normal(0, 0.8, k)
         l2 = float(rng.uniform(0, 0.1))
-        _, grad_w, grad_b = cross_entropy_loss_and_grad(W, b, X, onehot, l2)
+        _, grad_w, grad_b = cross_entropy_loss_and_grad(W, b, X.T, onehot.T, l2)
 
         def loss_at(Wx, bx):
-            return cross_entropy_loss_and_grad(Wx, bx, X, onehot, l2)[0]
+            return cross_entropy_loss_and_grad(Wx, bx, X.T, onehot.T, l2)[0]
 
         for idx in np.ndindex(*W.shape):
             Wp, Wm = W.copy(), W.copy()

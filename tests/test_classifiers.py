@@ -193,13 +193,13 @@ def test_logreg_gradient_matches_finite_differences():
         W = rng.normal(0, 0.5, (k, d))
         b = rng.normal(0, 0.5, k)
         l2 = 0.01
-        _, grad_w, grad_b = cross_entropy_loss_and_grad(W, b, X, onehot, l2)
+        _, grad_w, grad_b = cross_entropy_loss_and_grad(W, b, X.T, onehot.T, l2)
         for idx in np.ndindex(*W.shape):
             Wp, Wm = W.copy(), W.copy()
             Wp[idx] += h
             Wm[idx] -= h
-            lp = cross_entropy_loss_and_grad(Wp, b, X, onehot, l2)[0]
-            lm = cross_entropy_loss_and_grad(Wm, b, X, onehot, l2)[0]
+            lp = cross_entropy_loss_and_grad(Wp, b, X.T, onehot.T, l2)[0]
+            lm = cross_entropy_loss_and_grad(Wm, b, X.T, onehot.T, l2)[0]
             numeric = (lp - lm) / (2 * h)
             denom = max(1e-8, abs(numeric) + abs(grad_w[idx]))
             assert abs(numeric - grad_w[idx]) / denom < 1e-4
@@ -207,8 +207,8 @@ def test_logreg_gradient_matches_finite_differences():
             bp, bm = b.copy(), b.copy()
             bp[j] += h
             bm[j] -= h
-            lp = cross_entropy_loss_and_grad(W, bp, X, onehot, l2)[0]
-            lm = cross_entropy_loss_and_grad(W, bm, X, onehot, l2)[0]
+            lp = cross_entropy_loss_and_grad(W, bp, X.T, onehot.T, l2)[0]
+            lm = cross_entropy_loss_and_grad(W, bm, X.T, onehot.T, l2)[0]
             numeric = (lp - lm) / (2 * h)
             denom = max(1e-8, abs(numeric) + abs(grad_b[j]))
             assert abs(numeric - grad_b[j]) / denom < 1e-4

@@ -3,6 +3,9 @@
 import csv
 import dataclasses
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +107,18 @@ def test_load_config_errors(tmp_path, body, fragment):
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(body, encoding="utf-8")
     with pytest.raises(ConfigError, match=fragment):
+        load_config(cfg_path)
+
+
+@pytest.mark.parametrize("key", ["manifest", "captions_root", "out", "embedding.e"])
+def test_load_config_empty_path_is_an_error(tmp_path, key):
+    lines = {"manifest": "m.csv", "captions_root": ".", "embedding.e": "e.txt", "out": "o"}
+    lines[key] = ""
+    body = "# paths\n" + "".join(f"{k} = {v}\n" for k, v in lines.items())
+    line_no = 2 + list(lines).index(key)
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(body, encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"line {line_no}: key '{key}' names no path"):
         load_config(cfg_path)
 
 
@@ -578,6 +593,16 @@ def test_cli_run_empty_out_is_an_error(monkeypatch, capsys):
         captured = capsys.readouterr()
         assert code == EXIT_ERROR
         assert captured.err.startswith("error: --out: names no directory")
+
+
+def test_python_m_capsift_runs_the_cli():
+    src = Path(capsift.cli.__file__).parents[1]
+    paths = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run([sys.executable, "-m", "capsift", "run", "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: capsift run")
 
 
 _CLASS_WORDS = {

@@ -1,13 +1,13 @@
 """Synthetic minority oversampling: balance, provenance, determinism."""
 
 import hashlib
-import importlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from capsift.smote import _neighbor_table, smote
+from capsift import oversampling
+from capsift.oversampling import _neighbor_table, smote
 
 
 def brute_force_neighbors(points, i, k):
@@ -206,8 +206,7 @@ def test_neighbors_are_searched_only_for_drawn_bases(monkeypatch):
         searched.extend(rows.tolist())
         return _neighbor_table(points, k, rows)
 
-    # the package re-exports the smote function under the module's name
-    monkeypatch.setattr(importlib.import_module("capsift.smote"), "_neighbor_table", spy)
+    monkeypatch.setattr(oversampling, "_neighbor_table", spy)
     rng = np.random.Generator(np.random.PCG64(10))
     X = rng.normal(0, 1, (83, 3))
     y = np.array([0] * 43 + [1] * 40)
@@ -215,3 +214,9 @@ def test_neighbors_are_searched_only_for_drawn_bases(monkeypatch):
     assert out.synthetic_mask.sum() == 3
     assert 1 <= len(searched) <= 3
     assert len(set(searched)) == len(searched)
+
+
+def test_package_reexports_the_smote_function():
+    import capsift
+
+    assert capsift.smote is oversampling.smote
