@@ -18,6 +18,7 @@ from .corpus import CorpusError, descriptive_stats, load_corpus, load_manifest, 
 from .embeddings import EmbeddingFormatError, parse_embedding_file, vectorize_caption
 from .experiment import (
     ConfigError,
+    config_fingerprint,
     emit_report,
     load_config,
     normalize_task,
@@ -75,8 +76,8 @@ def _cmd_run(args) -> int:
         config = dataclasses.replace(config, **overrides)
     result = run_experiment(config)
     written = emit_report(result)
-    print(f"fingerprint: {result.fingerprint}")
-    print(f"reports: {len(result.reports)} rows over topics {', '.join(result.topics)}")
+    print(f"fingerprint: {config_fingerprint(result.config)}")
+    print(f"reports: {len(result.reports)} rows over topics {', '.join(result.config.topics)}")
     for path in written:
         print(f"wrote {path}")
     if result.skipped:

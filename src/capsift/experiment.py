@@ -2,7 +2,7 @@
 
 Reads a flat key=value config, loads and filters every topic's captions, and
 parses each embedding table restricted to the words those captions use. Then
-for every topic it vectorizes the captions against each embedding,
+for every (topic, embedding) unit it vectorizes the captions,
 stratified-splits them, balances the training side, sweeps the classifier
 suite on the three-class and binary tasks, and collects evaluation reports
 plus top-T embedding scores. All randomness is derived from the master seed
@@ -15,7 +15,7 @@ import csv
 import hashlib
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -71,7 +71,7 @@ class ConfigError(Exception):
 class ExperimentConfig:
     """Fully resolved experiment settings.
 
-    ``topics`` empty means "every topic present in the manifest".
+    ``topics`` empty means "every topic in the manifest"; ``run_experiment`` fills it in.
     ``captions_root`` None means caption paths resolve against the manifest's
     directory. ``hyperparams`` maps algorithm name to override values; any
     parameter not listed keeps its default.
@@ -250,15 +250,15 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return ExperimentConfig(embeddings=tuple(embeddings), hyperparams=hyperparams, **fields)
 
 
-def render_config(config: ExperimentConfig, topics: tuple[str, ...], include_out: bool = True) -> str:
-    """Canonical text form of a resolved config (echoed to the output
-    directory; the fingerprint hashes this text minus the output path)."""
+def render_config(config: ExperimentConfig) -> str:
+    """Canonical text form of a resolved config, without the output path;
+    the fingerprint hashes exactly this text."""
     lines = [f"manifest = {config.manifest}"]
     if config.captions_root is not None:
         lines.append(f"captions_root = {config.captions_root}")
     for name, p in config.embeddings:
         lines.append(f"embedding.{name} = {p}")
-    lines.append(f"topics = {','.join(topics)}")
+    lines.append(f"topics = {','.join(config.topics)}")
     lines.append(f"task = {config.task}")
     lines.append(f"test_fraction = {repr(config.test_fraction)}")
     lines.append(f"smote_k = {config.smote_k}")
@@ -269,14 +269,11 @@ def render_config(config: ExperimentConfig, topics: tuple[str, ...], include_out
         effective = AlgorithmSpec(algo, config.hyperparams.get(algo, {})).resolved()
         for param in sorted(effective):
             lines.append(f"{algo}.{param} = {effective[param]}")
-    if include_out:
-        lines.append(f"out = {config.out_dir}")
     return "\n".join(lines) + "\n"
 
 
-def config_fingerprint(config: ExperimentConfig, topics: tuple[str, ...]) -> str:
-    rendered = render_config(config, topics, include_out=False)
-    return hashlib.sha256(rendered.encode("utf-8")).hexdigest()
+def config_fingerprint(config: ExperimentConfig) -> str:
+    return hashlib.sha256(render_config(config).encode("utf-8")).hexdigest()
 
 
 def derive_seed(master: int, *parts: str) -> int:
@@ -341,20 +338,12 @@ class SkippedCell:
 
 @dataclass
 class RunResult:
-    fingerprint: str
     config: ExperimentConfig
-    topics: tuple[str, ...]
     reports: list[EvaluationReport]
     embedding_scores: list[EmbeddingScore]
     best_models: list[EvaluationReport]
     exclusions: list[Exclusion]
     skipped: list[SkippedCell]
-
-
-def _effective_topics(config: ExperimentConfig, records) -> tuple[str, ...]:
-    if config.topics:
-        return config.topics
-    return tuple(sorted({r.topic.value for r in records}))
 
 
 def load_topic(
@@ -376,26 +365,15 @@ def load_topic(
     return kept, load_skips + rejections, skipped
 
 
-@dataclass(frozen=True)
-class PreparedSplit:
-    """Caption vectors of one (topic, embedding) with its seeded train/test
-    split, shared by both tasks. ``labels`` are the three-class labels."""
-
-    features: np.ndarray
-    labels: np.ndarray
-    train_idx: np.ndarray
-    test_idx: np.ndarray
-
-
-def prepare_topic_embedding(
+def run_topic_embedding(
     config: ExperimentConfig, topic: str, name: str, table: EmbeddingTable, kept,
-) -> tuple[PreparedSplit | None, list[Exclusion], list[SkippedCell]]:
-    """Vectorize one topic's kept captions against one embedding and draw
-    the seeded split.
+) -> tuple[list[EvaluationReport], list[Exclusion], list[SkippedCell]]:
+    """Run one (topic, embedding) unit: vectorize the topic's kept captions,
+    draw one seeded split and run ``run_cell`` on it for each task.
 
-    Returns (prepared, exclusions, skipped). Captions without coverage are
+    Returns (reports, exclusions, skipped). Captions without coverage are
     exclusions. When no caption is covered, or a class has fewer than 2
-    members, the (topic, embedding) is skipped and ``prepared`` is None.
+    members, the whole (topic, embedding) is skipped.
     """
     rows, labels = [], []
     exclusions: list[Exclusion] = []
@@ -411,25 +389,34 @@ def prepare_topic_embedding(
         rows.append(cv.vector)
         labels.append(int(doc.record.label))
     if not rows:
-        return None, exclusions, [SkippedCell(
+        return [], exclusions, [SkippedCell(
             topic, "*", name, "*", "no caption had embedding coverage")]
     y3 = np.array(labels, dtype=np.int64)
     classes3, counts3 = np.unique(y3, return_counts=True)
     if len(classes3) < 2 or counts3.min() < 2:
-        return None, exclusions, [SkippedCell(
+        return [], exclusions, [SkippedCell(
             topic, "*", name, "*",
             f"class counts {dict(zip(classes3.tolist(), counts3.tolist()))} "
             "too small to split")]
     split_seed = derive_seed(config.seed, topic, "split", name)
     train_idx, test_idx = stratified_split(y3, config.test_fraction, split_seed)
-    return PreparedSplit(np.vstack(rows), y3, train_idx, test_idx), exclusions, []
+    features = np.vstack(rows)
+    reports: list[EvaluationReport] = []
+    skipped: list[SkippedCell] = []
+    for task in config.tasks():
+        cell_reports, cell_skips = run_cell(
+            config, topic, task, name, features, y3, train_idx, test_idx)
+        reports.extend(cell_reports)
+        skipped.extend(cell_skips)
+    return reports, exclusions, skipped
 
 
 def run_cell(
-    config: ExperimentConfig, topic: str, task: str, name: str, prepared: PreparedSplit,
+    config: ExperimentConfig, topic: str, task: str, name: str,
+    features: np.ndarray, labels: np.ndarray, train_idx: np.ndarray, test_idx: np.ndarray,
 ) -> tuple[list[EvaluationReport], list[SkippedCell]]:
     """Balance one (topic, task, embedding) cell with SMOTE, then train and
-    evaluate every configured algorithm on it.
+    evaluate every configured algorithm on it (``labels`` are three-class).
 
     Returns (reports in sweep order, skipped). A training split with a
     single class, or with a class too small to balance, skips the whole
@@ -437,8 +424,8 @@ def run_cell(
     skipped alone; any other exception is a programming error and
     propagates.
     """
-    y = prepared.labels if task == TASK_THREE_CLASS else binarize_labels(prepared.labels)
-    y_train, y_test = y[prepared.train_idx], y[prepared.test_idx]
+    y = labels if task == TASK_THREE_CLASS else binarize_labels(labels)
+    y_train, y_test = y[train_idx], y[test_idx]
     train_classes, train_counts = np.unique(y_train, return_counts=True)
     if len(train_classes) < 2:
         return [], [SkippedCell(topic, task, name, "*", "training split has a single class")]
@@ -447,9 +434,9 @@ def run_cell(
             topic, task, name, "*",
             "a training class has fewer than 2 samples; cannot balance")]
     smote_seed = derive_seed(config.seed, topic, task, name, "__smote__")
-    balanced = smote(prepared.features[prepared.train_idx], y_train,
+    balanced = smote(features[train_idx], y_train,
                      k_neighbors=config.smote_k, seed=smote_seed)
-    X_test = prepared.features[prepared.test_idx]
+    X_test = features[test_idx]
     eval_classes = np.unique(y)
     reports: list[EvaluationReport] = []
     skipped: list[SkippedCell] = []
@@ -487,9 +474,11 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     stopwords = load_stopwords()
     records = load_manifest(config.manifest)
     captions_root = config.captions_root or config.manifest.parent
-    topics = _effective_topics(config, records)
-    fingerprint = config_fingerprint(config, topics)
-    loaded = [load_topic(topic, records, captions_root, stopwords) for topic in topics]
+    if not config.topics:
+        if not records:
+            raise ConfigError(f"topics: none given and manifest {config.manifest} has no rows")
+        config = replace(config, topics=tuple(sorted({r.topic.value for r in records})))
+    loaded = [load_topic(topic, records, captions_root, stopwords) for topic in config.topics]
     vocab = {token for kept, _, _ in loaded for doc in kept for token in doc.tokens}
     tables = [
         (name, parse_embedding_file(path, vocab=vocab))
@@ -501,21 +490,16 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     skipped: list[SkippedCell] = []
     # Each topic's load results are replayed here, so exclusions.log stays in
     # topic order: a topic's coverage exclusions follow its filter ones.
-    for topic, (kept, topic_exclusions, topic_skips) in zip(topics, loaded):
+    for topic, (kept, topic_exclusions, topic_skips) in zip(config.topics, loaded):
         exclusions.extend(topic_exclusions)
         skipped.extend(topic_skips)
-        if not kept:
-            continue
-        for name, table in tables:
-            prepared, coverage, skips = prepare_topic_embedding(config, topic, name, table, kept)
-            exclusions.extend(coverage)
-            skipped.extend(skips)
-            if prepared is None:
-                continue
-            for task in config.tasks():
-                cell_reports, skips = run_cell(config, topic, task, name, prepared)
-                reports.extend(cell_reports)
-                skipped.extend(skips)
+        if kept:
+            for name, table in tables:
+                unit_reports, unit_exclusions, unit_skips = run_topic_embedding(
+                    config, topic, name, table, kept)
+                reports.extend(unit_reports)
+                exclusions.extend(unit_exclusions)
+                skipped.extend(unit_skips)
 
     reports.sort(key=lambda r: (r.topic, r.task, r.embedding, r.model))
     pool = [r for r in reports if r.model != DUMMY]
@@ -527,9 +511,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     ]
     best_models.sort(key=lambda r: (r.task, r.topic))
     return RunResult(
-        fingerprint=fingerprint,
         config=config,
-        topics=topics,
         reports=reports,
         embedding_scores=scores,
         best_models=best_models,
@@ -580,7 +562,7 @@ def emit_report(result: RunResult, out_dir: str | Path | None = None) -> list[Pa
 
     reports.csv (full float precision), embedding_scores.csv (mu to 2
     decimals), best_models.md (2 decimals), exclusions.log and the resolved
-    config echo.
+    config echo, whose ``out`` line names the directory written here.
     """
     out = Path(out_dir) if out_dir is not None else result.config.out_dir
     try:
@@ -609,8 +591,8 @@ def emit_report(result: RunResult, out_dir: str | Path | None = None) -> list[Pa
 
     config_path = out / "config_resolved.txt"
     config_path.write_text(
-        f"# fingerprint: {result.fingerprint}\n"
-        + render_config(result.config, result.topics),
+        f"# fingerprint: {config_fingerprint(result.config)}\n"
+        + render_config(result.config) + f"out = {out}\n",
         encoding="utf-8",
     )
     return [reports_path, scores_path, best_path, log_path, config_path]

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_report, make_table
+from helpers import make_report, make_table
 from capsift.classifiers import (
     DUMMY,
     AlgorithmSpec,

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import capsift.embeddings
-from conftest import make_table
+from helpers import make_table
 from capsift.embeddings import (
     _OTHER_WHITESPACE,
     GLOVE_TEXT,

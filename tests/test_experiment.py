@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,10 +29,9 @@ from capsift.experiment import (
     emit_report,
     load_config,
     normalize_task,
-    prepare_topic_embedding,
     render_config,
-    run_cell,
     run_experiment,
+    run_topic_embedding,
     stratified_split,
 )
 from capsift.metrics import TASK_BINARY, TASK_THREE_CLASS
@@ -187,13 +187,25 @@ def test_sweep_always_ends_with_dummy():
     assert base_config().sweep_algorithms()[-1] == DUMMY
 
 
+def test_readme_config_example_loads(fixture_config, tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Config file\n", 1)[1]
+    example = section.split("```\n", 2)[1]
+    path = tmp_path / "readme.cfg"
+    path.write_text(example, encoding="utf-8")
+    cfg = load_config(path)
+    fields = ("topics", "task", "test_fraction", "smote_k", "t_values", "seed")
+    for name in fields:
+        assert getattr(cfg, name) == getattr(fixture_config, name), name
+    assert [n for n, _ in cfg.embeddings] == [n for n, _ in fixture_config.embeddings]
+
+
 def test_fingerprint_ignores_output_dir(fixture_config):
-    topics = fixture_config.topics
-    a = config_fingerprint(fixture_config, topics)
+    a = config_fingerprint(fixture_config)
     moved = dataclasses.replace(fixture_config, out_dir=Path("/elsewhere"))
-    assert config_fingerprint(moved, topics) == a
+    assert config_fingerprint(moved) == a
     reseeded = dataclasses.replace(fixture_config, seed=fixture_config.seed + 1)
-    assert config_fingerprint(reseeded, topics) != a
+    assert config_fingerprint(reseeded) != a
 
 
 def _config_with(tmp_path, name, extra):
@@ -205,7 +217,7 @@ def _config_with(tmp_path, name, extra):
     path = tmp_path / name
     path.write_text(text + extra, encoding="utf-8")
     config = load_config(path)
-    return config_fingerprint(config, config.topics), render_config(config, config.topics)
+    return config_fingerprint(config), render_config(config)
 
 
 def test_equal_hyperparameter_values_render_and_fingerprint_alike(tmp_path):
@@ -311,8 +323,16 @@ def test_sweep_logs_every_rejected_caption(fixture_run):
     assert len(fixture_run.exclusions) == 5
 
 
-def prepared_splits(config):
-    """Every (topic, embedding)'s PreparedSplit, in sweep order."""
+def prepared_splits(config, monkeypatch):
+    """Every (topic, embedding)'s split as the sweep draws it, in sweep order."""
+    drawn = []
+
+    def spy(labels, test_fraction, seed):
+        train_idx, test_idx = stratified_split(labels, test_fraction, seed)
+        drawn.append(SimpleNamespace(labels=labels, train_idx=train_idx, test_idx=test_idx))
+        return train_idx, test_idx
+
+    monkeypatch.setattr(capsift.experiment, "stratified_split", spy)
     records = load_manifest(config.manifest)
     splits = {}
     for topic in config.topics:
@@ -321,12 +341,14 @@ def prepared_splits(config):
         kept, _ = filter_corpus(documents)
         for name, path in config.embeddings:
             table = parse_embedding_file(path)
-            splits[topic, name], _, _ = prepare_topic_embedding(config, topic, name, table, kept)
+            run_topic_embedding(config, topic, name, table, kept)
+            splits[topic, name] = drawn.pop()
+            assert not drawn
     return splits
 
 
-def test_sweep_split_has_no_leakage(fixture_config):
-    splits = prepared_splits(fixture_config)
+def test_sweep_split_has_no_leakage(fixture_config, monkeypatch):
+    splits = prepared_splits(fixture_config, monkeypatch)
     assert len(splits) == 4  # one per (topic, embedding)
     for prepared in splits.values():
         train, test = prepared.train_idx, prepared.test_idx
@@ -377,10 +399,10 @@ def test_sweep_report_rows_are_sorted(fixture_run):
     assert keys == sorted(keys)
 
 
-def test_sweep_same_split_for_both_tasks(fixture_config):
+def test_sweep_same_split_for_both_tasks(fixture_config, monkeypatch):
     # single-task configs must draw the exact membership of the joint one
     def by_cell(task):
-        splits = prepared_splits(dataclasses.replace(fixture_config, task=task))
+        splits = prepared_splits(dataclasses.replace(fixture_config, task=task), monkeypatch)
         return {cell: (p.train_idx.tolist(), p.test_idx.tolist()) for cell, p in splits.items()}
 
     both = by_cell(TASK_BOTH)
@@ -394,10 +416,9 @@ def test_single_cell_reproduces_its_rows_of_the_full_sweep(fixture_run, fixture_
     documents, _ = load_corpus(records, fixture_config.captions_root, load_stopwords())
     kept, _ = filter_corpus(documents)
     table = parse_embedding_file(dict(fixture_config.embeddings)[name])
-    prepared, exclusions, skipped = prepare_topic_embedding(
-        fixture_config, topic, name, table, kept)
-    assert [e.video_id for e in exclusions] == ["moon_oov"] and not skipped
-    reports, skipped = run_cell(fixture_config, topic, task, name, prepared)
+    config = dataclasses.replace(fixture_config, task=task)
+    reports, exclusions, skipped = run_topic_embedding(config, topic, name, table, kept)
+    assert [e.video_id for e in exclusions] == ["moon_oov"]
     assert not skipped
     assert [r.model for r in reports] == list(fixture_config.sweep_algorithms())
     expected = [r for r in fixture_run.reports
@@ -485,8 +506,21 @@ def test_emit_report_writes_artifacts(fixture_run, tmp_path):
         assert vid in log
 
     echo = (tmp_path / "config_resolved.txt").read_text(encoding="utf-8")
-    assert echo.startswith(f"# fingerprint: {fixture_run.fingerprint}\n")
+    assert echo.startswith(f"# fingerprint: {config_fingerprint(fixture_run.config)}\n")
     assert "seed = 2024" in echo
+
+
+def test_config_echo_names_the_directory_written_and_round_trips(fixture_run, tmp_path):
+    emit_report(fixture_run, tmp_path)
+    echo_path = tmp_path / "config_resolved.txt"
+    echo = echo_path.read_text(encoding="utf-8")
+    fingerprint = config_fingerprint(fixture_run.config)
+    assert echo == (f"# fingerprint: {fingerprint}\n"
+                    + render_config(fixture_run.config) + f"out = {tmp_path}\n")
+    loaded = load_config(echo_path)
+    assert loaded.out_dir == tmp_path
+    assert config_fingerprint(loaded) == fingerprint
+    assert render_config(loaded) == render_config(fixture_run.config)
 
 
 # Outputs written by an earlier release; see generate_expected.py in that directory.
@@ -571,6 +605,21 @@ def test_cli_run_missing_topic_is_partial(tmp_path, capsys):
     assert "skipped" in captured.err
     log = (tmp_path / "out" / "exclusions.log").read_text(encoding="utf-8")
     assert "flatearth" in log
+
+
+def test_cli_run_manifest_without_rows_is_an_error(tmp_path, capsys):
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("video_id,topic,label,caption_path,views,likes,dislikes,comments\n",
+                        encoding="utf-8")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"manifest = {manifest}\n"
+                   f"embedding.toy16 = {FIXTURES / 'embeddings' / 'toy16_glove.txt'}\n",
+                   encoding="utf-8")
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert captured.err == f"error: topics: none given and manifest {manifest} has no rows\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_run_topic_list_naming_no_topic_is_an_error(tmp_path, capsys):

@@ -16,7 +16,7 @@ from capsift.metrics import (
     report_csv_row,
     roc_auc_binary,
 )
-from conftest import make_report
+from helpers import make_report
 
 
 def oracle_metrics(y_true, y_pred, classes):
