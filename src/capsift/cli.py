@@ -2,7 +2,7 @@
 
 Subcommands: ``run`` (full experiment from a config file), ``stats``
 (manifest engagement-count summaries), ``vectorize`` (caption-vector export).
-Exit codes: 0 success, 1 config or input error, 2 partial run (some
+Exit codes: 0 success, 1 usage, config or input error, 2 partial run (some
 data-degenerate cells skipped).
 """
 
@@ -17,13 +17,7 @@ from pathlib import Path
 from .corpus import CorpusError, descriptive_stats, load_corpus, load_manifest, load_stopwords
 from .embeddings import EmbeddingFormatError, parse_embedding_file, vectorize_caption
 from .experiment import (
-    ConfigError,
-    config_fingerprint,
-    emit_report,
-    load_config,
-    normalize_task,
-    parse_topics,
-    run_experiment,
+    KEYS, ConfigError, config_fingerprint, emit_report, load_config, run_experiment,
 )
 
 EXIT_OK = 0
@@ -41,9 +35,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run the configured experiment sweep")
     run.add_argument("--config", required=True, help="flat key=value config file")
     run.add_argument("--topics", help="comma-separated topic subset, overrides the config")
-    run.add_argument("--task", choices=["three", "binary", "both"],
-                     help="task selection, overrides the config")
-    run.add_argument("--seed", type=int, help="master seed, overrides the config")
+    run.add_argument("--task", help="three|three_class|binary|both, overrides the config")
+    run.add_argument("--seed", help="master seed, overrides the config")
     run.add_argument("--out", help="output directory, overrides the config")
 
     stats = sub.add_parser("stats", help="per-(topic, label) engagement summaries")
@@ -61,13 +54,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     config = load_config(args.config)
-    overrides = {}
-    if args.topics is not None:
-        overrides["topics"] = parse_topics(args.topics)
-    if args.task:
-        overrides["task"] = normalize_task(args.task)
-    if args.seed is not None:
-        overrides["seed"] = args.seed
+    # each flag parses exactly like the config file's value for its key
+    overrides = {key: KEYS[key][0](value, key) for key in ("topics", "task", "seed")
+                 if (value := getattr(args, key)) is not None}
     if args.out is not None:
         if not args.out.strip():
             raise ConfigError(f"--out: names no directory, got {args.out!r}")
@@ -124,7 +113,10 @@ def _cmd_vectorize(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_ERROR
     handlers = {"run": _cmd_run, "stats": _cmd_stats, "vectorize": _cmd_vectorize}
     try:
         return handlers[args.command](args)

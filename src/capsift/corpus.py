@@ -123,8 +123,9 @@ def _parse_count(value: str, column: str, line: int) -> int | None:
 def load_manifest(path: str | Path) -> list[VideoRecord]:
     """Read the manifest CSV into VideoRecords.
 
-    Raises CorpusError for a missing file, invalid UTF-8, a malformed row
-    (reported with its line number), or a duplicate video_id.
+    A leading UTF-8 byte-order mark is skipped. Raises CorpusError for a
+    missing file, invalid UTF-8, a malformed row (reported with its line
+    number), or a duplicate video_id.
     """
     path = Path(path)
     if not path.is_file():
@@ -132,7 +133,7 @@ def load_manifest(path: str | Path) -> list[VideoRecord]:
     records: list[VideoRecord] = []
     seen: set[str] = set()
     try:
-        text = path.read_bytes().decode("utf-8")
+        text = path.read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise CorpusError(f"manifest is not valid UTF-8: {path} ({exc})") from None
     reader = csv.DictReader(io.StringIO(text, newline=""))

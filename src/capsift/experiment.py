@@ -60,7 +60,6 @@ MAX_EMBEDDINGS = 4
 EMBEDDING_SCORES_HEADER = ("topic", "task", "embedding", "T", "mu")
 
 _VALID_TOPICS = tuple(t.value for t in Topic)
-_NON_DUMMY = tuple(a for a in ALGORITHMS if a != DUMMY)
 
 
 class ConfigError(Exception):
@@ -69,12 +68,12 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved experiment settings.
+    """Fully resolved experiment settings in one canonical form: paths absolute
+    (symlinks kept as written), ``captions_root`` None set to the manifest's
+    directory, and the dummy baseline last in ``algorithms``.
 
     ``topics`` empty means "every topic in the manifest"; ``run_experiment`` fills it in.
-    ``captions_root`` None means caption paths resolve against the manifest's
-    directory. ``hyperparams`` maps algorithm name to override values; any
-    parameter not listed keeps its default.
+    ``hyperparams`` maps algorithm name to overrides; unlisted parameters keep defaults.
     """
 
     manifest: Path
@@ -84,7 +83,7 @@ class ExperimentConfig:
     task: str = TASK_BOTH
     test_fraction: float = DEFAULT_TEST_FRACTION
     smote_k: int = DEFAULT_SMOTE_K
-    algorithms: tuple[str, ...] = _NON_DUMMY
+    algorithms: tuple[str, ...] = ALGORITHMS
     hyperparams: dict = field(default_factory=dict)
     t_values: tuple[int, ...] = DEFAULT_T_VALUES
     seed: int = 0
@@ -125,21 +124,26 @@ class ExperimentConfig:
                 AlgorithmSpec(algo, params)
             except ValueError as exc:
                 raise ConfigError(f"hyperparameter override: {exc}") from None
+        # the canonical form; dataclasses.replace runs this again, so it must be idempotent
+        canonical = dict(
+            manifest=Path(self.manifest).absolute(),
+            captions_root=Path(self.captions_root or Path(self.manifest).parent).absolute(),
+            embeddings=tuple((name, Path(p).absolute()) for name, p in self.embeddings),
+            algorithms=tuple(a for a in self.algorithms if a != DUMMY) + (DUMMY,),
+            out_dir=Path(self.out_dir).absolute())
+        for name, value in canonical.items():
+            object.__setattr__(self, name, value)
 
     def tasks(self) -> tuple[str, ...]:
         if self.task == TASK_BOTH:
             return (TASK_THREE_CLASS, TASK_BINARY)
         return (self.task,)
 
-    def sweep_algorithms(self) -> tuple[str, ...]:
-        """Configured algorithms with the dummy baseline appended last."""
-        return tuple(a for a in self.algorithms if a != DUMMY) + (DUMMY,)
 
-
-def normalize_task(word: str) -> str:
+def normalize_task(word: str, key: str = "task") -> str:
     task = _TASK_ALIASES.get(word.strip().lower())
     if task is None:
-        raise ConfigError(f"task must be three|binary|both, got {word!r}")
+        raise ConfigError(f"{key} must be three|binary|both, got {word!r}")
     return task
 
 
@@ -157,29 +161,53 @@ def _parse_float(value: str, key: str) -> float:
         raise ConfigError(f"{key}: expected a number, got {value!r}") from None
 
 
-def _split_list(value: str) -> list[str]:
-    return [part.strip() for part in value.split(",") if part.strip()]
+def _parse_names(value: str, key: str) -> tuple[str, ...]:
+    return tuple(part.strip() for part in value.split(",") if part.strip())
 
 
-def parse_topics(value: str) -> tuple[str, ...]:
+def _parse_ints(value: str, key: str) -> tuple[int, ...]:
+    return tuple(_parse_int(part, key) for part in _parse_names(value, key))
+
+
+def parse_topics(value: str, key: str = "topics") -> tuple[str, ...]:
     """A comma-separated topic list. A list that names no topic is an error;
     leaving the list out is how every topic is selected."""
-    topics = tuple(_split_list(value))
+    topics = _parse_names(value, key)
     if not topics:
-        raise ConfigError(f"topics: names no topic, got {value!r}")
+        raise ConfigError(f"{key}: names no topic, got {value!r}")
     return topics
+
+
+def _join(values) -> str:
+    return ",".join(str(v) for v in values)
+
+
+# The grammar of every single-value config key, in render order: the key (also
+# the ExperimentConfig field) maps to (parse(value, key), render(field value)).
+# load_config, render_config and the ``capsift run`` flags all read it.
+KEYS = {
+    "topics": (parse_topics, _join),
+    "task": (normalize_task, str),
+    "test_fraction": (_parse_float, repr),
+    "smote_k": (_parse_int, str),
+    "algorithms": (_parse_names, _join),
+    "t_values": (_parse_ints, _join),
+    "seed": (_parse_int, str),
+}
+# Each path key and the ExperimentConfig field it sets.
+_PATH_KEYS = {"manifest": "manifest", "captions_root": "captions_root", "out": "out_dir"}
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse a flat ``key = value`` config file.
 
     Blank lines and lines starting with ``#`` are ignored; a key may appear
-    only once. Relative paths resolve against the config file's directory,
-    so configs are relocatable.
+    only once, and a leading UTF-8 byte-order mark is skipped. Relative paths
+    resolve against the config file's directory, so configs are relocatable.
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except UnicodeDecodeError as exc:
@@ -190,8 +218,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         if not p:
             # Path("") is ".", which would quietly mean the config's directory
             raise ConfigError(f"{path}: line {line_no}: key {key!r} names no path")
-        candidate = Path(p)
-        return candidate if candidate.is_absolute() else base / candidate
+        return base / p  # an absolute p replaces base
 
     fields: dict = {}
     embeddings: list[tuple[str, Path]] = []
@@ -210,28 +237,12 @@ def load_config(path: str | Path) -> ExperimentConfig:
             raise ConfigError(
                 f"{path}: line {line_no}: key {key!r} repeats line {key_lines[key]}")
         key_lines[key] = line_no
-        if key == "manifest":
-            fields["manifest"] = resolve(value, key, line_no)
-        elif key == "captions_root":
-            fields["captions_root"] = resolve(value, key, line_no)
+        if key in _PATH_KEYS:
+            fields[_PATH_KEYS[key]] = resolve(value, key, line_no)
         elif key.startswith("embedding."):
             embeddings.append((key[len("embedding."):], resolve(value, key, line_no)))
-        elif key == "topics":
-            fields["topics"] = parse_topics(value)
-        elif key == "task":
-            fields["task"] = normalize_task(value)
-        elif key == "test_fraction":
-            fields["test_fraction"] = _parse_float(value, key)
-        elif key == "smote_k":
-            fields["smote_k"] = _parse_int(value, key)
-        elif key == "algorithms":
-            fields["algorithms"] = tuple(_split_list(value))
-        elif key == "t_values":
-            fields["t_values"] = tuple(_parse_int(part, key) for part in _split_list(value))
-        elif key == "seed":
-            fields["seed"] = _parse_int(value, key)
-        elif key == "out":
-            fields["out_dir"] = resolve(value, key, line_no)
+        elif key in KEYS:
+            fields[key] = KEYS[key][0](value, key)
         elif "." in key:
             algo, _, param = key.partition(".")
             if algo not in ALGORITHMS:
@@ -253,19 +264,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
 def render_config(config: ExperimentConfig) -> str:
     """Canonical text form of a resolved config, without the output path;
     the fingerprint hashes exactly this text."""
-    lines = [f"manifest = {config.manifest}"]
-    if config.captions_root is not None:
-        lines.append(f"captions_root = {config.captions_root}")
-    for name, p in config.embeddings:
-        lines.append(f"embedding.{name} = {p}")
-    lines.append(f"topics = {','.join(config.topics)}")
-    lines.append(f"task = {config.task}")
-    lines.append(f"test_fraction = {repr(config.test_fraction)}")
-    lines.append(f"smote_k = {config.smote_k}")
-    lines.append(f"algorithms = {','.join(config.sweep_algorithms())}")
-    lines.append(f"t_values = {','.join(str(t) for t in config.t_values)}")
-    lines.append(f"seed = {config.seed}")
-    for algo in sorted(set(config.sweep_algorithms())):
+    lines = [f"manifest = {config.manifest}", f"captions_root = {config.captions_root}"]
+    lines += [f"embedding.{name} = {p}" for name, p in config.embeddings]
+    lines += [f"{key} = {render(getattr(config, key))}" for key, (_, render) in KEYS.items()]
+    for algo in sorted(config.algorithms):
         effective = AlgorithmSpec(algo, config.hyperparams.get(algo, {})).resolved()
         for param in sorted(effective):
             lines.append(f"{algo}.{param} = {effective[param]}")
@@ -440,7 +442,7 @@ def run_cell(
     eval_classes = np.unique(y)
     reports: list[EvaluationReport] = []
     skipped: list[SkippedCell] = []
-    for algo in config.sweep_algorithms():
+    for algo in config.algorithms:
         model_seed = derive_seed(config.seed, topic, task, name, algo)
         spec = AlgorithmSpec(
             algorithm=algo,
@@ -473,12 +475,11 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     """
     stopwords = load_stopwords()
     records = load_manifest(config.manifest)
-    captions_root = config.captions_root or config.manifest.parent
     if not config.topics:
         if not records:
             raise ConfigError(f"topics: none given and manifest {config.manifest} has no rows")
         config = replace(config, topics=tuple(sorted({r.topic.value for r in records})))
-    loaded = [load_topic(topic, records, captions_root, stopwords) for topic in config.topics]
+    loaded = [load_topic(t, records, config.captions_root, stopwords) for t in config.topics]
     vocab = {token for kept, _, _ in loaded for doc in kept for token in doc.tokens}
     tables = [
         (name, parse_embedding_file(path, vocab=vocab))
@@ -564,7 +565,7 @@ def emit_report(result: RunResult, out_dir: str | Path | None = None) -> list[Pa
     decimals), best_models.md (2 decimals), exclusions.log and the resolved
     config echo, whose ``out`` line names the directory written here.
     """
-    out = Path(out_dir) if out_dir is not None else result.config.out_dir
+    out = Path(out_dir).absolute() if out_dir is not None else result.config.out_dir
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:

@@ -1,5 +1,7 @@
 """Manifest parsing, caption preprocessing, and corpus filtering."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -19,6 +21,7 @@ from capsift.corpus import (
     preprocess_caption,
 )
 
+FIXTURES = Path(__file__).parent / "fixtures"
 STOPWORDS = load_stopwords()
 
 
@@ -77,6 +80,14 @@ def test_load_manifest_rejects_wrong_header(tmp_path):
 def test_load_manifest_missing_file(tmp_path):
     with pytest.raises(CorpusError):
         load_manifest(tmp_path / "absent.csv")
+
+
+def test_load_manifest_skips_a_byte_order_mark(tmp_path):
+    # spreadsheet tools often save CSV with a leading UTF-8 byte-order mark
+    original = FIXTURES / "manifest.csv"
+    copy = tmp_path / "bom.csv"
+    copy.write_bytes(b"\xef\xbb\xbf" + original.read_bytes())
+    assert load_manifest(copy) == load_manifest(original)
 
 
 # --- preprocessing ---------------------------------------------------------

@@ -6,20 +6,24 @@ import hashlib
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import capsift.cli
 import capsift.experiment
-from capsift.classifiers import DUMMY
+from capsift.classifiers import ALGORITHMS, DUMMY
 from capsift.cli import EXIT_ERROR, EXIT_OK, EXIT_PARTIAL, main
-from capsift.corpus import filter_corpus, load_corpus, load_manifest, load_stopwords
+from capsift.corpus import Topic, filter_corpus, load_corpus, load_manifest, load_stopwords
 from capsift.embeddings import parse_embedding_file
 from capsift.experiment import (
     DEFAULT_T_VALUES,
+    KEYS,
     TASK_BOTH,
     ConfigError,
     ExperimentConfig,
@@ -183,8 +187,8 @@ def test_config_validation(overrides, fragment):
 
 def test_sweep_always_ends_with_dummy():
     cfg = base_config(algorithms=("knn", "gaussian_nb"))
-    assert cfg.sweep_algorithms() == ("knn", "gaussian_nb", DUMMY)
-    assert base_config().sweep_algorithms()[-1] == DUMMY
+    assert cfg.algorithms == ("knn", "gaussian_nb", DUMMY)
+    assert base_config().algorithms[-1] == DUMMY
 
 
 def test_readme_config_example_loads(fixture_config, tmp_path):
@@ -233,6 +237,61 @@ def test_equal_hyperparameter_values_render_and_fingerprint_alike(tmp_path):
         tmp_path, "l2.cfg", "logistic_regression.l2 = 0\n")[1]
     _, rendered = _config_with(tmp_path, "trees.cfg", "random_forest.trees = 1e2\n")
     assert "\nrandom_forest.trees = 100\n" in rendered
+
+
+def test_load_config_skips_a_byte_order_mark(tmp_path):
+    original = (FIXTURES / "experiment.cfg").read_bytes()
+    (tmp_path / "plain.cfg").write_bytes(original)
+    (tmp_path / "bom.cfg").write_bytes(b"\xef\xbb\xbf" + original)
+    assert load_config(tmp_path / "bom.cfg") == load_config(tmp_path / "plain.cfg")
+
+
+def test_one_fingerprint_per_config_file_and_every_echo_loads_back(
+        fixture_run, monkeypatch, tmp_path):
+    configs = [load_config(FIXTURES / "experiment.cfg")]
+    for cwd, spelling in ((FIXTURES, "experiment.cfg"),
+                          (FIXTURES.parent, "fixtures/experiment.cfg")):
+        monkeypatch.chdir(cwd)
+        configs.append(load_config(spelling))
+    assert len({config_fingerprint(config) for config in configs}) == 1
+    for i, config in enumerate(configs):
+        emit_report(dataclasses.replace(fixture_run, config=config), tmp_path / str(i))
+        echo = load_config(tmp_path / str(i) / "config_resolved.txt")
+        assert render_config(echo) == render_config(config)
+
+
+@given(
+    topics=st.lists(st.sampled_from([t.value for t in Topic]), min_size=1, unique=True),
+    task=st.sampled_from(["three", "three_class", "binary", "both"]),
+    test_fraction=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    smote_k=st.integers(1, 10**6),
+    algorithms=st.lists(st.sampled_from(ALGORITHMS), min_size=1, unique=True),
+    t_values=st.lists(st.integers(1, 10**4), min_size=1, max_size=5, unique=True),
+    seed=st.integers(-2**63, 2**64),
+)
+def test_every_table_key_renders_and_loads_back(
+        topics, task, test_fraction, smote_k, algorithms, t_values, seed):
+    values = {
+        "topics": ", ".join(topics), "task": task, "test_fraction": repr(test_fraction),
+        "smote_k": str(smote_k), "algorithms": ", ".join(algorithms),
+        "t_values": ", ".join(map(str, t_values)), "seed": str(seed),
+    }
+    assert set(values) == set(KEYS)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "exp.cfg"
+        path.write_text("manifest = m.csv\nembedding.e = e.txt\n"
+                        + "".join(f"{k} = {v}\n" for k, v in values.items()), encoding="utf-8")
+        config = load_config(path)
+        assert (config.topics, config.test_fraction, config.smote_k, config.t_values,
+                config.seed) == (tuple(topics), test_fraction, smote_k, tuple(t_values), seed)
+        assert config.task == normalize_task(task)
+        assert config.algorithms == tuple(a for a in algorithms if a != DUMMY) + (DUMMY,)
+        rendered = render_config(config)
+        path.write_text(rendered, encoding="utf-8")
+        again = load_config(path)
+    assert render_config(again) == rendered
+    for key in KEYS:
+        assert getattr(again, key) == getattr(config, key), key
 
 
 def test_derive_seed_matches_hash_construction():
@@ -420,7 +479,7 @@ def test_single_cell_reproduces_its_rows_of_the_full_sweep(fixture_run, fixture_
     reports, exclusions, skipped = run_topic_embedding(config, topic, name, table, kept)
     assert [e.video_id for e in exclusions] == ["moon_oov"]
     assert not skipped
-    assert [r.model for r in reports] == list(fixture_config.sweep_algorithms())
+    assert [r.model for r in reports] == list(fixture_config.algorithms)
     expected = [r for r in fixture_run.reports
                 if (r.topic, r.task, r.embedding) == (topic, task, name)]
     assert len(expected) == 7
@@ -595,6 +654,29 @@ def test_cli_run_topic_and_task_overrides(tmp_path, capsys):
     assert {row[1] for row in rows} == {TASK_BINARY}
     echo = (out / "config_resolved.txt").read_text(encoding="utf-8")
     assert "seed = 7" in echo
+
+
+def test_cli_run_task_flag_takes_every_config_word(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(FIXTURES / "experiment.cfg"),
+                 "--topics", "moon", "--task", "three_class", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == EXIT_OK
+    assert "reports: 14 rows" in captured.out
+    assert "\ntask = three_class\n" in (out / "config_resolved.txt").read_text(encoding="utf-8")
+
+
+def test_cli_usage_errors_exit_with_the_error_code(tmp_path, capsys):
+    config = str(FIXTURES / "experiment.cfg")
+    for argv in (["run"], ["run", "--config", config, "--bogus"], ["frobnicate"]):
+        assert main(argv) == EXIT_ERROR, argv
+        assert "error:" in capsys.readouterr().err
+    code = main(["run", "--config", config, "--seed", "x", "--out", str(tmp_path / "out")])
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err == "error: seed: expected an integer, got 'x'\n"
+    assert not (tmp_path / "out").exists()
+    assert main(["run", "--help"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("usage: capsift run")
 
 
 def test_cli_run_missing_topic_is_partial(tmp_path, capsys):
