@@ -1,5 +1,5 @@
-"""Shared classifier machinery: algorithm specs, standardization, the
-fitted-model base class, and the no-skill baseline.
+"""Shared fitted-model machinery: standardization, the fitted-model base
+class, and the no-skill baseline.
 
 Every fitted model is a frozen dataclass exposing ``predict`` and
 ``predict_scores``. Scores are per-class confidence values whose row-wise
@@ -9,91 +9,13 @@ Models are immutable after training and safe for concurrent prediction.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Mapping
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-KNN = "knn"
-NEAREST_CENTROID = "nearest_centroid"
-LOGISTIC_REGRESSION = "logistic_regression"
-LINEAR_SVM = "linear_svm"
-GAUSSIAN_NB = "gaussian_nb"
-RANDOM_FOREST = "random_forest"
-DUMMY = "dummy_most_frequent"
-
-ALGORITHMS = (
-    KNN, NEAREST_CENTROID, LOGISTIC_REGRESSION, LINEAR_SVM,
-    GAUSSIAN_NB, RANDOM_FOREST, DUMMY,
-)
-
-DEFAULT_HYPERPARAMS: dict[str, dict[str, float | int]] = {
-    KNN: {"k": 5},
-    NEAREST_CENTROID: {"standardize": 0},
-    LOGISTIC_REGRESSION: {"learning_rate": 0.1, "l2": 1e-4, "iterations": 500},
-    LINEAR_SVM: {"learning_rate": 0.01, "c": 1.0, "iterations": 500},
-    GAUSSIAN_NB: {"var_smoothing": 1e-9},
-    RANDOM_FOREST: {"trees": 100, "max_depth": 12, "min_leaf": 2, "bootstrap": 1},
-    DUMMY: {},
-}
-
-# (minimum, strict, integral) per hyperparameter.
-_HYPERPARAM_RULES: dict[str, tuple[float, bool, bool]] = {
-    "k": (1, False, True),
-    "standardize": (0, False, True),
-    "learning_rate": (0, True, False),
-    "l2": (0, False, False),
-    "iterations": (1, False, True),
-    "c": (0, True, False),
-    "var_smoothing": (0, True, False),
-    "trees": (1, False, True),
-    "max_depth": (1, False, True),
-    "min_leaf": (1, False, True),
-    "bootstrap": (0, False, True),
-}
-_FLAGS = ("standardize", "bootstrap")
-
-
-@dataclass(frozen=True)
-class AlgorithmSpec:
-    """Algorithm choice plus hyperparameter overrides and the training seed.
-
-    Overrides are stored as ``int`` where the hyperparameter is integral and
-    as ``float`` otherwise, so equal values give equal specs (``k = 5.0`` is
-    ``k = 5``)."""
-
-    algorithm: str
-    hyperparams: Mapping[str, float | int] = field(default_factory=dict)
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
-        defaults = DEFAULT_HYPERPARAMS[self.algorithm]
-        typed: dict[str, float | int] = {}
-        for key, value in self.hyperparams.items():
-            if key not in defaults:
-                raise ValueError(f"{self.algorithm} has no hyperparameter {key!r}")
-            minimum, strict, integral = _HYPERPARAM_RULES[key]
-            if not math.isfinite(value):
-                raise ValueError(f"{self.algorithm}.{key} must be finite, got {value!r}")
-            if integral and int(value) != value:
-                raise ValueError(f"{self.algorithm}.{key} must be an integer, got {value!r}")
-            if key in _FLAGS and value not in (0, 1):
-                raise ValueError(f"{self.algorithm}.{key} must be 0 or 1, got {value!r}")
-            if (value <= minimum) if strict else (value < minimum):
-                op = ">" if strict else ">="
-                raise ValueError(f"{self.algorithm}.{key} must be {op} {minimum}, got {value!r}")
-            typed[key] = int(value) if integral else float(value)
-        object.__setattr__(self, "hyperparams", MappingProxyType(typed))
-
-    def resolved(self) -> dict[str, float | int]:
-        """Defaults merged with overrides."""
-        merged = dict(DEFAULT_HYPERPARAMS[self.algorithm])
-        merged.update(self.hyperparams)
-        return merged
+if TYPE_CHECKING:
+    from . import AlgorithmSpec
 
 
 @dataclass(frozen=True)

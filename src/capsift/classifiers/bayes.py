@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import AlgorithmSpec, TrainedModel, softmax
+from .base import TrainedModel, softmax
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,15 +30,13 @@ class GaussianNbModel(TrainedModel):
         return softmax(loglik)
 
 
-def _train_gaussian_nb(spec: AlgorithmSpec, X, y_codes, classes):
-    params = spec.resolved()
-    smoothing = params["var_smoothing"]
+def _train_gaussian_nb(spec, X, y_codes, classes, *, var_smoothing=1e-9):
     n, d = X.shape
     k = len(classes)
     # smoothing is relative to the largest overall feature variance; fall
     # back to the raw value when all features are constant
     max_var = float(X.var(axis=0).max())
-    eps = smoothing * max_var if max_var > 0 else smoothing
+    eps = var_smoothing * max_var if max_var > 0 else var_smoothing
     means = np.empty((k, d))
     variances = np.empty((k, d))
     log_priors = np.empty(k)

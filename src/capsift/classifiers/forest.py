@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .base import AlgorithmSpec, TrainedModel
+from .base import TrainedModel
 
 
 @dataclass
@@ -159,18 +159,14 @@ class RandomForestModel(TrainedModel):
         return votes / n_trees
 
 
-def _train_random_forest(spec: AlgorithmSpec, X, y_codes, classes):
-    params = spec.resolved()
-    n_trees = params["trees"]
-    max_depth = params["max_depth"]
-    min_leaf = params["min_leaf"]
-    bootstrap = bool(params["bootstrap"])
+def _train_random_forest(spec, X, y_codes, classes, *,
+                         trees=100, max_depth=12, min_leaf=2, bootstrap=1):
     n, d = X.shape
     n_split = max(1, int(math.sqrt(d)))
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     grower = _TreeGrower(X, y_codes, len(classes), max_depth, min_leaf, n_split)
-    trees = []
-    for _ in range(n_trees):
+    grown = []
+    for _ in range(trees):
         rows = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
-        trees.append(grower.grow(rows, rng))
-    return RandomForestModel(spec, classes, None, d, tuple(trees))
+        grown.append(grower.grow(rows, rng))
+    return RandomForestModel(spec, classes, None, d, tuple(grown))

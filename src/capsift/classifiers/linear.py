@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import AlgorithmSpec, TrainedModel, softmax, standardize_fit
+from .base import TrainedModel, softmax, standardize_fit
 
 _MIN_STEP = 1e-12
 
@@ -47,15 +47,12 @@ class LogisticRegressionModel(TrainedModel):
         return softmax(Z @ self.weights.T + self.bias)
 
 
-def _train_logistic_regression(spec: AlgorithmSpec, X, y_codes, classes):
+def _train_logistic_regression(spec, X, y_codes, classes, *,
+                               learning_rate=0.1, l2=1e-4, iterations=500):
     """Full-batch gradient descent from zero weights, halving the step
     whenever a proposed update would increase the loss (so the recorded loss
     history is non-increasing). The final iterate is returned regardless of
     convergence."""
-    params = spec.resolved()
-    lr = params["learning_rate"]
-    l2 = params["l2"]
-    iterations = params["iterations"]
     scaler = standardize_fit(X)
     Z = scaler.transform(X)
     d = Z.shape[1]
@@ -69,15 +66,15 @@ def _train_logistic_regression(spec: AlgorithmSpec, X, y_codes, classes):
     history = [loss]
     for _ in range(iterations):
         while True:
-            W_new = W - lr * gw
-            b_new = b - lr * gb
+            W_new = W - learning_rate * gw
+            b_new = b - learning_rate * gb
             loss_new, gw_new, gb_new = cross_entropy_loss_and_grad(W_new, b_new, ZT, targets, l2)
             if loss_new <= loss:
                 break
-            if lr <= _MIN_STEP:
+            if learning_rate <= _MIN_STEP:
                 loss_new = None
                 break
-            lr /= 2.0
+            learning_rate /= 2.0
         if loss_new is None:
             break
         W, b, loss, gw, gb = W_new, b_new, loss_new, gw_new, gb_new
@@ -96,14 +93,11 @@ class LinearSvmModel(TrainedModel):
         return Z @ self.weights.T + self.bias
 
 
-def _train_linear_svm(spec: AlgorithmSpec, X, y_codes, classes):
+def _train_linear_svm(spec, X, y_codes, classes, *,
+                      learning_rate=0.01, c=1.0, iterations=500):
     """Subgradient descent on 0.5*||w||^2 + c * mean(hinge), one binary
     one-vs-rest problem per class, all K trained together: row r of the
     (K, n) target matrix ``T`` is +1 on class r and -1 elsewhere."""
-    params = spec.resolved()
-    lr = params["learning_rate"]
-    c = params["c"]
-    iterations = params["iterations"]
     scaler = standardize_fit(X)
     Z = scaler.transform(X)
     n, d = Z.shape
@@ -118,6 +112,6 @@ def _train_linear_svm(spec: AlgorithmSpec, X, y_codes, classes):
         TV = T * (T * (W @ ZT + b[:, None]) < 1.0)
         grad_w = W - (c / n) * (TV @ Z)
         grad_b = -(c / n) * TV.sum(axis=1)
-        W = W - lr * grad_w
-        b = b - lr * grad_b
+        W = W - learning_rate * grad_w
+        b = b - learning_rate * grad_b
     return LinearSvmModel(spec, classes, scaler, d, W, b)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import AlgorithmSpec, TrainedModel, softmax, standardize_fit
+from .base import TrainedModel, softmax, standardize_fit
 
 
 def _squared_distances(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -47,11 +47,9 @@ class KnnModel(TrainedModel):
         return scores / k
 
 
-def _train_knn(spec: AlgorithmSpec, X, y_codes, classes) -> KnnModel:
-    params = spec.resolved()
+def _train_knn(spec, X, y_codes, classes, *, k=5) -> KnnModel:
     scaler = standardize_fit(X)
-    return KnnModel(spec, classes, scaler, X.shape[1], scaler.transform(X), y_codes,
-                    params["k"])
+    return KnnModel(spec, classes, scaler, X.shape[1], scaler.transform(X), y_codes, k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,11 +63,11 @@ class NearestCentroidModel(TrainedModel):
         return softmax(-np.sqrt(_squared_distances(Z, self.centroids)))
 
 
-def _train_nearest_centroid(spec: AlgorithmSpec, X, y_codes, classes) -> NearestCentroidModel:
-    params = spec.resolved()
+def _train_nearest_centroid(spec, X, y_codes, classes, *,
+                            standardize=0) -> NearestCentroidModel:
     scaler = None
     Z = X
-    if params["standardize"]:
+    if standardize:
         scaler = standardize_fit(X)
         Z = scaler.transform(X)
     centroids = np.vstack([Z[y_codes == c].mean(axis=0) for c in range(len(classes))])

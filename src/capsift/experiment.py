@@ -15,6 +15,7 @@ import csv
 import hashlib
 import itertools
 import math
+import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -66,10 +67,18 @@ class ConfigError(Exception):
     """Invalid experiment configuration (file syntax or field values)."""
 
 
+def absolute_path(p: str | Path) -> Path:
+    """``p`` made absolute, its ``..`` collapsed unless that names another
+    file (a ``..`` after a symlinked directory); idempotent."""
+    kept = Path(p).absolute()
+    collapsed = Path(os.path.abspath(kept))
+    return collapsed if os.path.realpath(collapsed) == os.path.realpath(kept) else kept
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Fully resolved experiment settings in one canonical form: paths absolute
-    (symlinks kept as written), ``captions_root`` None set to the manifest's
+    (see ``absolute_path``), ``captions_root`` None set to the manifest's
     directory, and the dummy baseline last in ``algorithms``.
 
     ``topics`` empty means "every topic in the manifest"; ``run_experiment`` fills it in.
@@ -126,11 +135,11 @@ class ExperimentConfig:
                 raise ConfigError(f"hyperparameter override: {exc}") from None
         # the canonical form; dataclasses.replace runs this again, so it must be idempotent
         canonical = dict(
-            manifest=Path(self.manifest).absolute(),
-            captions_root=Path(self.captions_root or Path(self.manifest).parent).absolute(),
-            embeddings=tuple((name, Path(p).absolute()) for name, p in self.embeddings),
+            manifest=absolute_path(self.manifest),
+            captions_root=absolute_path(self.captions_root or Path(self.manifest).parent),
+            embeddings=tuple((name, absolute_path(p)) for name, p in self.embeddings),
             algorithms=tuple(a for a in self.algorithms if a != DUMMY) + (DUMMY,),
-            out_dir=Path(self.out_dir).absolute())
+            out_dir=absolute_path(self.out_dir))
         for name, value in canonical.items():
             object.__setattr__(self, name, value)
 
@@ -252,6 +261,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
                     f"{path}: line {line_no}: unknown hyperparameter {param!r} for {algo}"
                 )
             hyperparams.setdefault(algo, {})[param] = _parse_float(value, key)
+            try:  # the lines before passed, so a failure is this line's
+                AlgorithmSpec(algo, hyperparams[algo])
+            except ValueError as exc:
+                raise ConfigError(f"{path}: line {line_no}: {exc}") from None
         else:
             raise ConfigError(f"{path}: line {line_no}: unknown key {key!r}")
     if "manifest" not in fields:
@@ -268,7 +281,7 @@ def render_config(config: ExperimentConfig) -> str:
     lines += [f"embedding.{name} = {p}" for name, p in config.embeddings]
     lines += [f"{key} = {render(getattr(config, key))}" for key, (_, render) in KEYS.items()]
     for algo in sorted(config.algorithms):
-        effective = AlgorithmSpec(algo, config.hyperparams.get(algo, {})).resolved()
+        effective = AlgorithmSpec(algo, config.hyperparams.get(algo, {})).hyperparams
         for param in sorted(effective):
             lines.append(f"{algo}.{param} = {effective[param]}")
     return "\n".join(lines) + "\n"
@@ -565,7 +578,7 @@ def emit_report(result: RunResult, out_dir: str | Path | None = None) -> list[Pa
     decimals), best_models.md (2 decimals), exclusions.log and the resolved
     config echo, whose ``out`` line names the directory written here.
     """
-    out = Path(out_dir).absolute() if out_dir is not None else result.config.out_dir
+    out = absolute_path(out_dir) if out_dir is not None else result.config.out_dir
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:

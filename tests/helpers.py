@@ -1,4 +1,7 @@
-"""Report- and table-building helpers shared by the test modules."""
+"""Report- and table-building helpers, and a memory probe, shared by the
+test modules."""
+
+import tracemalloc
 
 import numpy as np
 
@@ -18,3 +21,13 @@ def make_report(model: str, f1: float, embedding: str = "emb",
     """Minimal report carrying a chosen weighted F1, for ranking tests."""
     auc = 0.5 if task == TASK_BINARY else None
     return EvaluationReport(topic, task, embedding, model, f1, f1, f1, f1, auc, seed=0)
+
+
+def traced_peak(call) -> int:
+    """Peak bytes tracemalloc sees allocated while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -23,6 +23,7 @@ from capsift.classifiers import (
     standardize_fit,
     train,
 )
+from helpers import traced_peak
 
 
 def blobs(seed=0, per_class=40, dim=4, sep=6.0, labels=(-1, 0, 1)):
@@ -65,7 +66,7 @@ def test_spec_defaults_cover_every_algorithm():
     assert set(DEFAULT_HYPERPARAMS) == set(ALGORITHMS)
     assert set(MODELS) == set(ALGORITHMS)
     spec = AlgorithmSpec(RANDOM_FOREST, {"trees": 10})
-    resolved = spec.resolved()
+    resolved = spec.hyperparams
     assert resolved["trees"] == 10
     assert resolved["max_depth"] == DEFAULT_HYPERPARAMS[RANDOM_FOREST]["max_depth"]
 
@@ -333,6 +334,20 @@ def test_training_output_is_pinned(algo):
     scores = model.predict_scores(Q)
     assert scores.dtype == np.float64 and scores.shape == (40, 3)
     assert hashlib.sha256(scores.tobytes()).hexdigest() == PINNED_SCORES[algo]
+
+
+# budgets small enough that the probe stays fast; the memory shape is the same
+SMALL_BUDGETS = {RANDOM_FOREST: {"trees": 3}, LOGISTIC_REGRESSION: {"iterations": 20},
+                 LINEAR_SVM: {"iterations": 20}}
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_training_memory_grows_linearly_with_rows(algo):
+    spec = AlgorithmSpec(algo, SMALL_BUDGETS.get(algo, {}), seed=3)
+    X, y = blobs(seed=8, per_class=400, dim=20)
+    train(spec, X[:600], y[:600])  # warm-up: one-time allocations are not per row
+    small, large = (traced_peak(lambda: train(spec, X[:n], y[:n])) for n in (600, 1200))
+    assert large <= 2.5 * small
 
 
 # --- public API ----------------------------------------------------------------

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -27,6 +28,7 @@ from capsift.experiment import (
     TASK_BOTH,
     ConfigError,
     ExperimentConfig,
+    absolute_path,
     binarize_labels,
     config_fingerprint,
     derive_seed,
@@ -111,6 +113,23 @@ def test_load_config_errors(tmp_path, body, fragment):
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(body, encoding="utf-8")
     with pytest.raises(ConfigError, match=fragment):
+        load_config(cfg_path)
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("manifest = m.csv\nembedding.e = e.txt\n# overrides\nknn.k = 0\n",
+         "line 4: knn.k must be >= 1, got 0.0"),
+        ("manifest = m.csv\nrandom_forest.trees = 7\nrandom_forest.bootstrap = 2\n",
+         "line 3: random_forest.bootstrap must be 0 or 1, got 2.0"),
+        ("linear_svm.c = -1\nmanifest = m.csv\n", "line 1: linear_svm.c must be > 0, got -1.0"),
+    ],
+)
+def test_load_config_hyperparameter_errors_name_the_file_and_line(tmp_path, body, message):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(body, encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"^{re.escape(f'{cfg_path}: {message}')}$"):
         load_config(cfg_path)
 
 
@@ -239,6 +258,27 @@ def test_equal_hyperparameter_values_render_and_fingerprint_alike(tmp_path):
     assert "\nrandom_forest.trees = 100\n" in rendered
 
 
+def test_render_config_pins_every_default_hyperparameter(fixture_config):
+    # the fixture sweeps every algorithm and overrides nothing, so a renamed
+    # trainer argument or a changed default shows here
+    lines = render_config(fixture_config).splitlines()
+    assert [line for line in lines if line.startswith(ALGORITHMS)] == [
+        "gaussian_nb.var_smoothing = 1e-09",
+        "knn.k = 5",
+        "linear_svm.c = 1.0",
+        "linear_svm.iterations = 500",
+        "linear_svm.learning_rate = 0.01",
+        "logistic_regression.iterations = 500",
+        "logistic_regression.l2 = 0.0001",
+        "logistic_regression.learning_rate = 0.1",
+        "nearest_centroid.standardize = 0",
+        "random_forest.bootstrap = 1",
+        "random_forest.max_depth = 12",
+        "random_forest.min_leaf = 2",
+        "random_forest.trees = 100",
+    ]
+
+
 def test_load_config_skips_a_byte_order_mark(tmp_path):
     original = (FIXTURES / "experiment.cfg").read_bytes()
     (tmp_path / "plain.cfg").write_bytes(original)
@@ -258,6 +298,33 @@ def test_one_fingerprint_per_config_file_and_every_echo_loads_back(
         emit_report(dataclasses.replace(fixture_run, config=config), tmp_path / str(i))
         echo = load_config(tmp_path / str(i) / "config_resolved.txt")
         assert render_config(echo) == render_config(config)
+
+
+def test_a_config_path_through_dotdot_gets_the_same_fingerprint(
+        fixture_run, monkeypatch, tmp_path):
+    tests = FIXTURES.parent
+    monkeypatch.chdir(tests)
+    plain = load_config("fixtures/experiment.cfg")
+    dotted = load_config(f"../{tests.name}/fixtures/experiment.cfg")
+    assert dotted == plain
+    assert config_fingerprint(dotted) == config_fingerprint(plain)
+    written = emit_report(fixture_run, tmp_path / "made" / ".." / "out")
+    assert written[0] == tmp_path / "out" / "reports.csv"
+    echo = (tmp_path / "out" / "config_resolved.txt").read_text(encoding="utf-8")
+    assert echo.endswith(f"\nout = {tmp_path / 'out'}\n")
+
+
+def test_dotdot_after_a_symlinked_directory_is_kept(tmp_path):
+    (tmp_path / "real" / "sub").mkdir(parents=True)
+    (tmp_path / "link").symlink_to(tmp_path / "real" / "sub", target_is_directory=True)
+    assert absolute_path(tmp_path / "real" / "sub" / ".." / "x") == tmp_path / "real" / "x"
+    # link/.. is real, not tmp_path, so collapsing it would name another file
+    through_link = tmp_path / "link" / ".." / "m.csv"
+    config = base_config(manifest=through_link, out_dir=tmp_path / "real" / ".." / "out")
+    assert config.manifest == through_link
+    assert config.captions_root == tmp_path / "link" / ".."
+    assert config.out_dir == tmp_path / "out"
+    assert dataclasses.replace(config) == config
 
 
 @given(

@@ -16,7 +16,7 @@ from capsift.metrics import (
     report_csv_row,
     roc_auc_binary,
 )
-from helpers import make_report
+from helpers import make_report, traced_peak
 
 
 def oracle_metrics(y_true, y_pred, classes):
@@ -263,3 +263,19 @@ def test_confusion_matrix_rejects_bad_shape():
         with pytest.raises(ValueError, match="integers"):
             classification_metrics(bad)
     assert classification_metrics([[2.0, 0.0], [0.0, 1.0]]).f1.tolist() == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("task", [TASK_THREE_CLASS, TASK_BINARY])
+def test_evaluation_memory_grows_linearly_with_rows(task):
+    rng = np.random.Generator(np.random.PCG64(6))
+    classes = [-1, 0, 1] if task == TASK_THREE_CLASS else [0, 1]
+    y_true, y_pred = rng.choice(classes, 1200), rng.choice(classes, 1200)
+    scores = rng.random(1200) if task == TASK_BINARY else None
+
+    def evaluate(n):
+        evaluate_predictions("moon", task, "e", "m", 0, y_true[:n], y_pred[:n], classes,
+                             None if scores is None else scores[:n])
+
+    evaluate(600)  # warm-up: one-time allocations are not per row
+    small, large = (traced_peak(lambda: evaluate(n)) for n in (600, 1200))
+    assert large <= 2.5 * small
