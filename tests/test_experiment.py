@@ -4,7 +4,6 @@ import csv
 import dataclasses
 import hashlib
 import os
-import re
 import subprocess
 import sys
 import tempfile
@@ -107,29 +106,18 @@ def test_load_config_hyperparam_overrides(tmp_path):
         ("manifest = m.csv\nembedding.e = e.txt\nt_values = 5,5\n", "duplicate t_values"),
         ("manifest = m.csv\nembedding. = e.txt\n", "embedding name"),
         ("manifest = m.csv\nembedding.e = e.txt\ntopics =\n", "names no topic"),
+        ("manifest = m.csv\nembedding.e = e.txt\n# overrides\nknn.k = 0\n",
+         "exp.cfg: line 4: knn.k must be >= 1, got 0.0"),
+        ("manifest = m.csv\nrandom_forest.trees = 7\nrandom_forest.bootstrap = 2\n",
+         "exp.cfg: line 3: random_forest.bootstrap must be 0 or 1, got 2.0"),
+        ("linear_svm.c = -1\nmanifest = m.csv\n",
+         "exp.cfg: line 1: linear_svm.c must be > 0, got -1.0"),
     ],
 )
 def test_load_config_errors(tmp_path, body, fragment):
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(body, encoding="utf-8")
     with pytest.raises(ConfigError, match=fragment):
-        load_config(cfg_path)
-
-
-@pytest.mark.parametrize(
-    "body, message",
-    [
-        ("manifest = m.csv\nembedding.e = e.txt\n# overrides\nknn.k = 0\n",
-         "line 4: knn.k must be >= 1, got 0.0"),
-        ("manifest = m.csv\nrandom_forest.trees = 7\nrandom_forest.bootstrap = 2\n",
-         "line 3: random_forest.bootstrap must be 0 or 1, got 2.0"),
-        ("linear_svm.c = -1\nmanifest = m.csv\n", "line 1: linear_svm.c must be > 0, got -1.0"),
-    ],
-)
-def test_load_config_hyperparameter_errors_name_the_file_and_line(tmp_path, body, message):
-    cfg_path = tmp_path / "exp.cfg"
-    cfg_path.write_text(body, encoding="utf-8")
-    with pytest.raises(ConfigError, match=f"^{re.escape(f'{cfg_path}: {message}')}$"):
         load_config(cfg_path)
 
 

@@ -1,6 +1,5 @@
 """The test settings: one failing test never ends the session."""
 
-import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -23,7 +22,6 @@ def test_passes():
 
 
 def test_a_failing_hypothesis_test_fails_alone(tmp_path):
-    shutil.copy(TESTS / "conftest.py", tmp_path)
     (tmp_path / "test_two.py").write_text(TWO_TESTS, encoding="utf-8")
     done = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
