@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifiers import ALGORITHMS, DEFAULT_HYPERPARAMS, DUMMY, AlgorithmSpec, train
+from .classifiers import ALGORITHMS, DUMMY, AlgorithmSpec, train
 from .corpus import (
     CaptionDocument,
     Exclusion,
@@ -132,7 +132,7 @@ class ExperimentConfig:
             try:
                 AlgorithmSpec(algo, params)
             except ValueError as exc:
-                raise ConfigError(f"hyperparameter override: {exc}") from None
+                raise ConfigError(str(exc)) from None
         # the canonical form; dataclasses.replace runs this again, so it must be idempotent
         canonical = dict(
             manifest=absolute_path(self.manifest),
@@ -213,6 +213,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
     Blank lines and lines starting with ``#`` are ignored; a key may appear
     only once, and a leading UTF-8 byte-order mark is skipped. Relative paths
     resolve against the config file's directory, so configs are relocatable.
+    ``ExperimentConfig`` checks each value line as it is read; every error
+    names the file, and an error about one line names that line.
     """
     path = Path(path)
     try:
@@ -222,56 +224,51 @@ def load_config(path: str | Path) -> ExperimentConfig:
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config is not valid UTF-8: {path} ({exc})") from None
     base = path.parent
-
-    def resolve(p: str, key: str, line_no: int) -> Path:
-        if not p:
-            # Path("") is ".", which would quietly mean the config's directory
-            raise ConfigError(f"{path}: line {line_no}: key {key!r} names no path")
-        return base / p  # an absolute p replaces base
-
     fields: dict = {}
     embeddings: list[tuple[str, Path]] = []
-    hyperparams: dict[str, dict[str, float | int]] = {}
+    hyperparams: dict[str, dict[str, float]] = {}
     key_lines: dict[str, int] = {}
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
-            raise ConfigError(f"{path}: line {line_no}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key in key_lines:
-            raise ConfigError(
-                f"{path}: line {line_no}: key {key!r} repeats line {key_lines[key]}")
-        key_lines[key] = line_no
-        if key in _PATH_KEYS:
-            fields[_PATH_KEYS[key]] = resolve(value, key, line_no)
-        elif key.startswith("embedding."):
-            embeddings.append((key[len("embedding."):], resolve(value, key, line_no)))
-        elif key in KEYS:
-            fields[key] = KEYS[key][0](value, key)
-        elif "." in key:
-            algo, _, param = key.partition(".")
-            if algo not in ALGORITHMS:
-                raise ConfigError(f"{path}: line {line_no}: unknown key {key!r}")
-            if param not in DEFAULT_HYPERPARAMS[algo]:
-                raise ConfigError(
-                    f"{path}: line {line_no}: unknown hyperparameter {param!r} for {algo}"
-                )
-            hyperparams.setdefault(algo, {})[param] = _parse_float(value, key)
-            try:  # the lines before passed, so a failure is this line's
-                AlgorithmSpec(algo, hyperparams[algo])
-            except ValueError as exc:
-                raise ConfigError(f"{path}: line {line_no}: {exc}") from None
-        else:
-            raise ConfigError(f"{path}: line {line_no}: unknown key {key!r}")
+        try:
+            if "=" not in line:
+                raise ConfigError("expected 'key = value'")
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key in key_lines:
+                raise ConfigError(f"key {key!r} repeats line {key_lines[key]}")
+            key_lines[key] = line_no
+            if key in _PATH_KEYS or key.startswith("embedding."):
+                if not value:
+                    # Path("") is ".", which would quietly mean the config's directory
+                    raise ConfigError(f"key {key!r} names no path")
+                value = base / value  # an absolute value replaces base
+            if key in _PATH_KEYS:
+                setting = {_PATH_KEYS[key]: value}
+            elif key.startswith("embedding."):
+                embeddings.append((key[len("embedding."):], value))
+                setting = {"embeddings": tuple(embeddings)}
+            elif key in KEYS:
+                setting = {key: KEYS[key][0](value, key)}
+            elif "." in key and key.partition(".")[0] in ALGORITHMS:
+                algo, _, param = key.partition(".")
+                hyperparams.setdefault(algo, {})[param] = _parse_float(value, key)
+                setting = {"hyperparams": hyperparams}
+            else:
+                raise ConfigError(f"unknown key {key!r}")
+            # ExperimentConfig checks the value: build one that differs from a
+            # valid config only in this field as read so far, so the lines
+            # before passed and a failure is this line's
+            ExperimentConfig(**{"manifest": path, "embeddings": (("config", path),), **setting})
+            fields.update(setting)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: line {line_no}: {exc}") from None
     if "manifest" not in fields:
         raise ConfigError(f"{path}: missing required key 'manifest'")
     if not embeddings:
         raise ConfigError(f"{path}: need at least one 'embedding.<name> = <path>' entry")
-    return ExperimentConfig(embeddings=tuple(embeddings), hyperparams=hyperparams, **fields)
+    return ExperimentConfig(**fields)
 
 
 def render_config(config: ExperimentConfig) -> str:

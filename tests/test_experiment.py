@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -89,9 +90,14 @@ def test_load_config_hyperparam_overrides(tmp_path):
     [
         ("just a line\n", "line 1"),
         ("manifest = m.csv\nwat = 1\n", "unknown key"),
-        ("manifest = m.csv\nknn.neighbors = 3\n", "unknown hyperparameter"),
-        ("manifest = m.csv\nseed = many\n", "seed"),
-        ("manifest = m.csv\ntest_fraction = lots\n", "test_fraction"),
+        ("manifest = m.csv\nknn = 3\n", "exp.cfg: line 2: unknown key 'knn'"),
+        ("manifest = m.csv\nforest.trees = 3\n", "exp.cfg: line 2: unknown key 'forest.trees'"),
+        ("manifest = m.csv\nknn.neighbors = 3\n",
+         "exp.cfg: line 2: knn has no hyperparameter 'neighbors'"),
+        ("manifest = m.csv\nseed = many\n",
+         "exp.cfg: line 2: seed: expected an integer, got 'many'"),
+        ("manifest = m.csv\ntest_fraction = lots\n",
+         "exp.cfg: line 2: test_fraction: expected a number, got 'lots'"),
         ("embedding.e = e.txt\n", "manifest"),
         ("manifest = m.csv\n", "embedding"),
         ("manifest = m.csv\nembedding.e = e.txt\ntask = quaternary\n", "task"),
@@ -103,8 +109,10 @@ def test_load_config_hyperparam_overrides(tmp_path):
         ("manifest = a.csv\nmanifest = b.csv\n", "line 2: key 'manifest' repeats line 1"),
         ("manifest = m.csv\nembedding.e = e.txt\nrandom_forest.trees = inf\n",
          "trees must be finite"),
-        ("manifest = m.csv\nembedding.e = e.txt\nt_values = 5,5\n", "duplicate t_values"),
-        ("manifest = m.csv\nembedding. = e.txt\n", "embedding name"),
+        ("manifest = m.csv\nembedding.e = e.txt\nt_values = 5,5\n",
+         "exp.cfg: line 3: duplicate t_values"),
+        ("manifest = m.csv\nembedding. = e.txt\n",
+         "exp.cfg: line 2: embedding name must not be empty"),
         ("manifest = m.csv\nembedding.e = e.txt\ntopics =\n", "names no topic"),
         ("manifest = m.csv\nembedding.e = e.txt\n# overrides\nknn.k = 0\n",
          "exp.cfg: line 4: knn.k must be >= 1, got 0.0"),
@@ -112,13 +120,69 @@ def test_load_config_hyperparam_overrides(tmp_path):
          "exp.cfg: line 3: random_forest.bootstrap must be 0 or 1, got 2.0"),
         ("linear_svm.c = -1\nmanifest = m.csv\n",
          "exp.cfg: line 1: linear_svm.c must be > 0, got -1.0"),
+        ("manifest = m.csv\nknn.k = five\n",
+         "exp.cfg: line 2: knn.k: expected a number, got 'five'"),
+        ("manifest = m.csv\nsmote_k = 0\n", "exp.cfg: line 2: smote_k must be >= 1"),
+        ("manifest = m.csv\ntest_fraction = 2\n",
+         "exp.cfg: line 2: test_fraction must be in (0, 1), got 2.0"),
+        ("manifest = m.csv\ntopics = mars\n",
+         "exp.cfg: line 2: unknown topic 'mars'; valid: vaccines, 911, chemtrail, moon, flatearth"),
+        ("manifest = m.csv\nalgorithms = knn,knn\n", "exp.cfg: line 2: duplicate algorithms"),
+        ("manifest = m.csv\n" + "".join(f"embedding.{n} = {n}.txt\n" for n in "abcde"),
+         "exp.cfg: line 6: need 1..4 embeddings, got 5"),
+        # the first bad line is the one reported, whatever the kind of error
+        ("smote_k = 0\nwat = 1\n", "exp.cfg: line 1: smote_k must be >= 1"),
     ],
 )
 def test_load_config_errors(tmp_path, body, fragment):
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(body, encoding="utf-8")
-    with pytest.raises(ConfigError, match=fragment):
+    with pytest.raises(ConfigError, match=re.escape(fragment)):
         load_config(cfg_path)
+
+
+@pytest.mark.parametrize(
+    "key, raw",
+    [
+        ("topics", "moon,vaccines"), ("topics", "mars"), ("topics", "moon,moon"), ("topics", ""),
+        ("task", "three_class"), ("task", "quaternary"),
+        ("test_fraction", "0.2"), ("test_fraction", "1"), ("test_fraction", "lots"),
+        ("smote_k", "3"), ("smote_k", "0"), ("smote_k", "x"),
+        ("algorithms", "gaussian_nb,knn"), ("algorithms", "knn,knn"),
+        ("algorithms", "perceptron"), ("algorithms", ","),
+        ("t_values", "5,10"), ("t_values", "5,5"), ("t_values", "0"), ("t_values", "5,x"),
+        ("seed", "-7"), ("seed", "many"),
+        ("knn.k", "3"), ("knn.k", "0"), ("knn.k", "2.5"),
+        ("random_forest.bootstrap", "0"), ("random_forest.bootstrap", "2"),
+        ("embeddings", "4"), ("embeddings", "5"),
+    ],
+)
+def test_load_config_accepts_what_experiment_config_accepts(tmp_path, key, raw):
+    """A config line loads exactly when ExperimentConfig accepts its value,
+    and fails with ExperimentConfig's message located at that line."""
+    lines = ["manifest = m.csv"]
+    fields = dict(manifest=tmp_path / "m.csv", embeddings=(("e", tmp_path / "e.txt"),))
+    if key == "embeddings":
+        names = [f"e{i}" for i in range(int(raw))]
+        lines += [f"embedding.{name} = {name}.txt" for name in names]
+        fields["embeddings"] = tuple((name, tmp_path / f"{name}.txt") for name in names)
+    else:
+        lines += ["embedding.e = e.txt", f"{key} = {raw}"]
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        if key in KEYS:
+            fields[key] = KEYS[key][0](raw, key)
+        elif key != "embeddings":
+            algo, _, param = key.partition(".")
+            fields["hyperparams"] = {algo: {param: float(raw)}}
+        direct = ExperimentConfig(**fields)
+    except ConfigError as exc:
+        with pytest.raises(ConfigError) as caught:
+            load_config(cfg_path)
+        assert str(caught.value) == f"{cfg_path}: line {len(lines)}: {exc}"
+    else:
+        assert load_config(cfg_path) == direct
 
 
 @pytest.mark.parametrize("key", ["manifest", "captions_root", "out", "embedding.e"])
