@@ -94,8 +94,10 @@ def test_load_config_hyperparam_overrides(tmp_path):
         ("manifest = m.csv\nforest.trees = 3\n", "exp.cfg: line 2: unknown key 'forest.trees'"),
         ("manifest = m.csv\nknn.neighbors = 3\n",
          "exp.cfg: line 2: knn has no hyperparameter 'neighbors'"),
+        ("manifest = m.csv\nseed = many\n", "seed"),
         ("manifest = m.csv\nseed = many\n",
          "exp.cfg: line 2: seed: expected an integer, got 'many'"),
+        ("manifest = m.csv\ntest_fraction = lots\n", "test_fraction"),
         ("manifest = m.csv\ntest_fraction = lots\n",
          "exp.cfg: line 2: test_fraction: expected a number, got 'lots'"),
         ("embedding.e = e.txt\n", "manifest"),
@@ -111,6 +113,7 @@ def test_load_config_hyperparam_overrides(tmp_path):
          "trees must be finite"),
         ("manifest = m.csv\nembedding.e = e.txt\nt_values = 5,5\n",
          "exp.cfg: line 3: duplicate t_values"),
+        ("manifest = m.csv\nembedding. = e.txt\n", "embedding name"),
         ("manifest = m.csv\nembedding. = e.txt\n",
          "exp.cfg: line 2: embedding name must not be empty"),
         ("manifest = m.csv\nembedding.e = e.txt\ntopics =\n", "names no topic"),
