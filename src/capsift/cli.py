@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
+import os
 import sys
 from pathlib import Path
 
@@ -52,7 +54,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_run(args) -> int:
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))  # the CPUs taskset or a cpuset leaves
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _cmd_run(args, workers: int) -> int:
     config = load_config(args.config)
     # each flag parses exactly like the config file's value for its key
     overrides = {key: KEYS[key][0](value, key) for key in ("topics", "task", "seed")
@@ -63,7 +72,7 @@ def _cmd_run(args) -> int:
         overrides["out_dir"] = Path(args.out)
     if overrides:
         config = dataclasses.replace(config, **overrides)
-    result = run_experiment(config)
+    result = run_experiment(config, workers)
     written = emit_report(result)
     print(f"fingerprint: {config_fingerprint(result.config)}")
     print(f"reports: {len(result.reports)} rows over topics {', '.join(result.config.topics)}")
@@ -113,11 +122,16 @@ def _cmd_vectorize(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand. Only the process's own command line (``argv``
+    None) spreads ``run`` over the usable CPUs; a caller that passes
+    ``argv`` keeps every call in its own process."""
+    workers = _usable_cpus() if argv is None else 1
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error
         return EXIT_OK if exc.code == 0 else EXIT_ERROR
-    handlers = {"run": _cmd_run, "stats": _cmd_stats, "vectorize": _cmd_vectorize}
+    handlers = {"run": functools.partial(_cmd_run, workers=workers),
+                "stats": _cmd_stats, "vectorize": _cmd_vectorize}
     try:
         return handlers[args.command](args)
     except (ConfigError, CorpusError, EmbeddingFormatError, OSError) as exc:

@@ -6,7 +6,8 @@ for every (topic, embedding) unit it vectorizes the captions,
 stratified-splits them, balances the training side, sweeps the classifier
 suite on the three-class and binary tasks, and collects evaluation reports
 plus top-T embedding scores. All randomness is derived from the master seed
-per cell, so reruns are byte-identical.
+per cell, so reruns are byte-identical, and the units may run in a pool of
+forked workers without changing any output.
 """
 
 from __future__ import annotations
@@ -75,6 +76,10 @@ def absolute_path(p: str | Path) -> Path:
     return collapsed if os.path.realpath(collapsed) == os.path.realpath(kept) else kept
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Fully resolved experiment settings in one canonical form: paths absolute
@@ -99,6 +104,12 @@ class ExperimentConfig:
     out_dir: Path = Path("capsift-out")
 
     def __post_init__(self) -> None:
+        for name, value in (("smote_k", self.smote_k), ("seed", self.seed),
+                            *(("t_values", t) for t in self.t_values)):
+            if not _is_int(value):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if not (_is_int(self.test_fraction) or isinstance(self.test_fraction, float)):
+            raise ConfigError(f"test_fraction must be a number, got {self.test_fraction!r}")
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
         if not 1 <= len(self.embeddings) <= MAX_EMBEDDINGS:
@@ -475,14 +486,59 @@ def run_cell(
     return reports, skipped
 
 
-def run_experiment(config: ExperimentConfig) -> RunResult:
+# The (config, units) of a pool worker's run, set by its initializer. A pool
+# worker runs nothing else, and this process never sets it.
+_pool_work: tuple | None = None
+
+
+def _start_worker(config: ExperimentConfig, units: list) -> None:
+    global _pool_work
+    _pool_work = (config, units)
+
+
+def _run_unit(index: int):
+    config, units = _pool_work
+    return run_topic_embedding(config, *units[index])
+
+
+def _unit_results(config: ExperimentConfig, units: list, workers: int):
+    """An iterator over ``run_topic_embedding(config, *unit)`` for each unit,
+    in unit order: run lazily in this process, or all at once in a pool of
+    forked workers when there are two or more of each and fork is available.
+    A worker's exception, or its death (BrokenProcessPool), is raised here."""
+    if workers > 1 and len(units) > 1:
+        # imported here, so a serial run and its load prefix never pay for them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            # Forked workers inherit the caller's module state, and the units
+            # through the initializer's arguments, so only unit indices and
+            # results are pickled. With fork the pool starts every worker
+            # before it starts its own thread.
+            with ProcessPoolExecutor(min(workers, len(units)),
+                                     multiprocessing.get_context("fork"),
+                                     initializer=_start_worker,
+                                     initargs=(config, units)) as executor:
+                return iter(list(executor.map(_run_unit, range(len(units)))))
+    return (run_topic_embedding(config, *unit) for unit in units)
+
+
+def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
     """Run the full sweep described by the config.
 
     Data-degenerate cells (a topic or class too small to split or balance, a
     single-class binary task, a model whose training raises ValueError) are
     skipped with a logged reason and the run continues. Any other exception
     is a programming error and propagates.
+
+    With ``workers`` > 1 the (topic, embedding) units run in a pool of
+    forked processes (at most one per unit), and their results are taken in
+    unit order, so the result is the same at any worker count. A run with
+    one unit, one worker, or no ``fork`` start method runs in this process.
     """
+    if not _is_int(workers) or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     stopwords = load_stopwords()
     records = load_manifest(config.manifest)
     if not config.topics:
@@ -496,6 +552,9 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         for name, path in config.embeddings
     ]
 
+    units = [(topic, name, table, kept) for topic, (kept, _, _) in zip(config.topics, loaded)
+             if kept for name, table in tables]
+    results = _unit_results(config, units, workers)
     reports: list[EvaluationReport] = []
     exclusions: list[Exclusion] = []
     skipped: list[SkippedCell] = []
@@ -505,9 +564,8 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         exclusions.extend(topic_exclusions)
         skipped.extend(topic_skips)
         if kept:
-            for name, table in tables:
-                unit_reports, unit_exclusions, unit_skips = run_topic_embedding(
-                    config, topic, name, table, kept)
+            for _ in tables:
+                unit_reports, unit_exclusions, unit_skips = next(results)
                 reports.extend(unit_reports)
                 exclusions.extend(unit_exclusions)
                 skipped.extend(unit_skips)

@@ -2,12 +2,15 @@
 
 import csv
 import dataclasses
+import faulthandler
 import hashlib
+import multiprocessing
 import os
 import re
 import subprocess
 import sys
 import tempfile
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -252,6 +255,11 @@ def base_config(**overrides):
         ({"hyperparams": {"random_forest": {"trees": float("inf")}}}, "trees must be finite"),
         ({"embeddings": (("", Path("e.txt")),)}, "embedding name"),
         ({"t_values": (5, 5)}, "duplicate t_values"),
+        ({"smote_k": 2.5}, "smote_k must be an integer, got 2.5"),
+        ({"t_values": (2.5,)}, "t_values must be an integer, got 2.5"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"test_fraction": "0.2"}, "test_fraction must be a number, got '0.2'"),
     ],
 )
 def test_config_validation(overrides, fragment):
@@ -652,6 +660,113 @@ def test_training_programming_error_propagates(fixture_config, monkeypatch):
         run_experiment(config)
 
 
+# --- worker pool ------------------------------------------------------------------
+# The pool's workers fork from this process, so the patches made here reach them.
+
+
+def test_pool_result_equals_the_serial_result(fixture_config, fixture_run):
+    pooled = run_experiment(fixture_config, workers=2)
+    for field in dataclasses.fields(fixture_run):
+        assert getattr(pooled, field.name) == getattr(fixture_run, field.name), field.name
+
+
+def test_pool_skips_only_the_model_whose_training_raises_value_error(
+        fixture_config, monkeypatch):
+    real_train = capsift.experiment.train
+
+    def train(spec, features, labels):
+        if spec.algorithm == "gaussian_nb":
+            raise ValueError("degenerate variance")
+        return real_train(spec, features, labels)
+
+    monkeypatch.setattr(capsift.experiment, "train", train)
+    serial, pooled = (run_experiment(fixture_config, workers=n) for n in (1, 2))
+    assert [s.model for s in serial.skipped] == ["gaussian_nb"] * 8
+    assert pooled.skipped == serial.skipped
+    assert pooled.reports == serial.reports
+
+
+def test_pool_propagates_a_programming_error(fixture_config, monkeypatch):
+    def train(spec, features, labels):
+        raise TypeError("bug in a trainer")
+
+    monkeypatch.setattr(capsift.experiment, "train", train)
+    with pytest.raises(TypeError, match="bug in a trainer"):
+        run_experiment(fixture_config, workers=2)
+
+
+def test_pool_fails_the_run_when_a_worker_dies(fixture_config, monkeypatch):
+    def train(spec, features, labels):
+        os._exit(3)
+
+    monkeypatch.setattr(capsift.experiment, "train", train)
+    faulthandler.dump_traceback_later(120, exit=True)  # a hung pool ends the session loudly
+    try:
+        with pytest.raises(BrokenProcessPool):
+            run_experiment(fixture_config, workers=2)
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+
+
+def _spy_on_train(monkeypatch) -> list[int]:
+    """Patch ``train`` to record the id of the process each call runs in."""
+    real_train = capsift.experiment.train
+    pids: list[int] = []
+
+    def train(spec, features, labels):
+        pids.append(os.getpid())
+        return real_train(spec, features, labels)
+
+    monkeypatch.setattr(capsift.experiment, "train", train)
+    return pids
+
+
+def test_an_embedded_cli_run_trains_in_the_calling_process(tmp_path, monkeypatch, capsys):
+    pids = _spy_on_train(monkeypatch)
+    code = main(["run", "--config", str(FIXTURES / "experiment.cfg"), "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert code == EXIT_OK
+    assert pids == [os.getpid()] * 56
+
+
+def test_cli_main_without_argv_runs_on_the_usable_cpus(tmp_path, monkeypatch, capsys):
+    real_run = capsift.cli.run_experiment
+    counts = []
+
+    def run_experiment(config, workers):
+        counts.append(workers)
+        return real_run(config)
+
+    monkeypatch.setattr(capsift.cli, "run_experiment", run_experiment)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
+    monkeypatch.setattr(sys, "argv", ["capsift", "run", "--config",
+                                      str(FIXTURES / "experiment.cfg"), "--out", str(tmp_path)])
+    assert main() == EXIT_OK
+    capsys.readouterr()
+    assert counts == [3]
+
+
+def test_pool_runs_serially_without_fork(fixture_config, fixture_run, monkeypatch):
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    pids = _spy_on_train(monkeypatch)
+    assert run_experiment(fixture_config, workers=2).reports == fixture_run.reports
+    assert pids == [os.getpid()] * 56
+
+
+def test_pool_runs_a_single_unit_serially(fixture_config, monkeypatch):
+    pids = _spy_on_train(monkeypatch)
+    config = dataclasses.replace(fixture_config, topics=("moon",),
+                                 embeddings=fixture_config.embeddings[:1])
+    run_experiment(config, workers=2)
+    assert pids == [os.getpid()] * 14
+
+
+@pytest.mark.parametrize("workers", [0, -1, 1.5, "2", True])
+def test_run_experiment_rejects_a_bad_worker_count(fixture_config, workers):
+    with pytest.raises(ValueError, match="workers must be an integer >= 1"):
+        run_experiment(fixture_config, workers)
+
+
 # --- report emission ------------------------------------------------------------
 
 
@@ -856,6 +971,22 @@ def test_python_m_capsift_runs_the_cli():
                           capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: capsift run")
+
+
+def test_python_m_capsift_run_writes_the_pinned_outputs_without_warnings(tmp_path):
+    # Run as its own process, capsift spreads the fixture's 4 units over the
+    # usable CPUs; -W error makes any warning there fail the run.
+    root = Path(__file__).parents[1]
+    paths = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "capsift", "run",
+         "--config", "tests/fixtures/experiment.cfg", "--out", str(tmp_path)],
+        cwd=root, capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    for name in ("reports.csv", "embedding_scores.csv", "best_models.md", "exclusions.log"):
+        assert (tmp_path / name).read_bytes() == (EXPECTED / name).read_bytes(), name
 
 
 _CLASS_WORDS = {
