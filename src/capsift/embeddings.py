@@ -12,6 +12,8 @@ text first.
 
 from __future__ import annotations
 
+import math
+import os
 from collections.abc import Container
 from dataclasses import dataclass
 from pathlib import Path
@@ -82,7 +84,7 @@ _OTHER_WHITESPACE = (
     "\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a"
     "\u2028\u2029\u202f\u205f\u3000"
 )
-_BLOCK_CHARS = 1 << 16
+_BLOCK_CHARS = 1 << 16  # bytes per read
 _FIRST_ROWS = 1024
 
 
@@ -93,23 +95,171 @@ def _single_spaced(text: str) -> bool:
     return "  " not in text and not any(c in text for c in _OTHER_WHITESPACE)
 
 
-def _blocks(fh):
-    """Yield the text of ``fh`` in blocks of whole lines.
+def _blocks(fh, size):
+    """Yield the text of the next ``size`` bytes of the binary file ``fh``
+    in blocks of whole lines.
 
-    Every block but the last ends with "\n". The text-mode read turns "\r"
-    into "\n", so every line break is one character, and the blocks'
-    ``splitlines()`` together are the whole text's.
+    Every block but the last ends with "\n", and "\r\n" and "\r" become
+    "\n" as in a text-mode read (which keeps a CRLF table single-spaced),
+    so the blocks' ``splitlines()`` together are the whole text's. Bytes
+    that are not UTF-8 raise UnicodeDecodeError once every whole line
+    before the line that holds them was yielded.
     """
-    pending: list[str] = []
-    while chunk := fh.read(_BLOCK_CHARS):
-        cut = chunk.rfind("\n") + 1
+    pending: list[bytes] = []
+    while size > 0 and (chunk := fh.read(min(_BLOCK_CHARS, size))):
+        size -= len(chunk)
+        cut = chunk.rfind(b"\n") + 1
         if cut:
-            yield "".join(pending) + chunk[:cut]
+            yield from _decode(b"".join(pending) + chunk[:cut])
             pending = []
         pending.append(chunk[cut:])
-    tail = "".join(pending)
-    if tail:
-        yield tail
+    yield from _decode(b"".join(pending))
+
+
+def _decode(data: bytes):
+    """Yield the text of ``data``, whole lines, as ``_blocks`` describes."""
+    try:
+        text, error = data.decode("utf-8"), None
+    except UnicodeDecodeError as exc:
+        text, error = data[:exc.start].decode("utf-8"), exc
+        last = text.splitlines(keepends=True)[-1:]
+        if last and last[0].splitlines() == last:  # the line that holds the bad bytes
+            text = text[:-len(last[0])]
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    if text:
+        yield text
+    if error is not None:
+        raise error
+
+
+class _LineError(Exception):
+    """A malformed line; the scan adds the line number."""
+
+
+@dataclass
+class _Scan:
+    """What a scan of one byte range of an embedding file found: its line
+    count, its kept words in file order (each once) with their ``matrix``
+    rows, and its first error as (line number within the range, text), or
+    as (None, text) for an error that is not about one line. ``header`` is
+    the word count of a word2vec header, which only a range that starts the
+    file can hold."""
+
+    lines: int
+    words: list[str]
+    matrix: np.ndarray | None
+    error: tuple[int | None, str] | None
+    dim: int | None
+    header: int | None
+
+
+def _scan(path: Path, start: int, end: int | None, vocab: Container[str] | None,
+          dim: int | None) -> _Scan:
+    """Scan the bytes ``start:end`` of the file (to its end when ``end`` is
+    None), which start a line. A range that starts the file passes ``dim``
+    None, and its first line sets it or is a word2vec header; any other
+    range passes the dimension its file's first line set. The scan stops at
+    the range's first error."""
+    header = None
+    # A kept line's vector goes into the next free row; a repeated word does
+    # not claim that row, so the following kept line overwrites it.
+    index: dict[str, int] = {}
+    matrix = None
+    line_no = 0
+    error = None
+    try:
+        with open(path, "rb") as fh:
+            fh.seek(start)
+            for block in _blocks(fh, math.inf if end is None else end - start):
+                # An unused line needs only its word and its token count, and in a
+                # single-spaced block a space count proves the latter without split().
+                fast = vocab is not None and _single_spaced(block)
+                for line in block.splitlines():
+                    line_no += 1
+                    if fast and line.count(" ") == dim and line[-1] != " ":
+                        cut = line.find(" ")
+                        if cut > 0 and line[:cut].lower() not in vocab:
+                            continue
+                    parts = line.split()
+                    if dim is None and _is_word2vec_header(parts):
+                        header, dim = int(parts[0]), int(parts[1])
+                        if header < 1 or dim < 1:
+                            raise _LineError(f"invalid word2vec header {line!r}")
+                        continue
+                    if not parts:
+                        raise _LineError("empty line")
+                    if dim is None:
+                        dim = len(parts) - 1
+                        if dim < 1:
+                            raise _LineError("no vector components")
+                    if len(parts) != dim + 1:
+                        raise _LineError(f"expected {dim} components, got {len(parts) - 1}")
+                    word = parts[0].lower()
+                    if vocab is not None and word not in vocab:
+                        continue
+                    row = len(index)
+                    if matrix is None:
+                        matrix = np.empty((_FIRST_ROWS, dim))
+                    elif row == len(matrix):
+                        matrix = np.concatenate((matrix, np.empty_like(matrix)))
+                    try:
+                        matrix[row] = parts[1:]
+                    except ValueError as exc:
+                        raise _LineError(f"non-numeric component ({exc})") from None
+                    if not np.isfinite(matrix[row]).all():
+                        raise _LineError("non-finite component")
+                    index.setdefault(word, row)
+    except _LineError as exc:
+        error = (line_no, str(exc))
+    except UnicodeDecodeError as exc:
+        # A block's bytes are decoded on their own, so exc counts from the
+        # block's start; decoding the whole file gives the file position.
+        try:
+            path.read_bytes().decode("utf-8")
+        except UnicodeDecodeError as whole:
+            exc = whole
+        error = (None, f"embedding file is not valid UTF-8: {path} ({exc})")
+    except OSError as exc:
+        error = (None, f"cannot read embedding file: {exc}")
+    words = list(index)
+    return _Scan(line_no, words, None if matrix is None else matrix[:len(words)],
+                 error, dim, header)
+
+
+def _table(path: Path, scans: list[_Scan]) -> EmbeddingTable:
+    """The table of ``path`` from the scans of its ranges in file order.
+    The first error in file order is raised, with its line numbered from
+    the file's start; a word's first occurrence is kept; the empty-file and
+    header-count checks use the summed line counts."""
+    index: dict[str, int] = {}
+    kept = []
+    line_no = 0
+    for scan in scans:
+        if scan.error is not None:
+            line, text = scan.error
+            raise EmbeddingFormatError(text if line is None else f"line {line_no + line}: {text}")
+        rows = []
+        for row, word in enumerate(scan.words):
+            if word not in index:
+                index[word] = len(index)
+                rows.append(row)
+        if rows:
+            kept.append(scan.matrix[rows])
+        line_no += scan.lines
+    header = scans[0].header
+    if line_no == 0:
+        raise EmbeddingFormatError(f"empty embedding file: {path}")
+    data_lines = line_no - (header is not None)
+    if data_lines == 0:
+        raise EmbeddingFormatError(f"no vectors in embedding file: {path}")
+    if header is not None and header != data_lines:
+        raise EmbeddingFormatError(
+            f"word2vec header declares {header} words but file has {data_lines}"
+        )
+    matrix = np.concatenate(kept) if kept else np.empty((0, scans[0].dim))
+    return EmbeddingTable(index=index, matrix=matrix,
+                          source_format=GLOVE_TEXT if header is None else WORD2VEC_TEXT)
 
 
 def parse_embedding_file(
@@ -129,88 +279,61 @@ def parse_embedding_file(
     still run on every line, but only lines whose word is in ``vocab`` are
     converted to floats and checked for non-numeric and non-finite
     components. With ``vocab`` None every line is kept. The file is read in
-    blocks, so memory follows the kept rows, not the file.
+    blocks, so memory follows the kept rows, not the file. Of a malformed
+    line and bytes that are not UTF-8, the first in the file is reported.
     """
     path = Path(path)
+    return _table(path, [_scan(path, 0, None, vocab, None)])
+
+
+def _line_end(fh, pos: int) -> int:
+    """The offset just after the first "\n" at or after ``pos``, or the
+    end of the file."""
+    fh.seek(pos)
+    while chunk := fh.read(_BLOCK_CHARS):
+        found = chunk.find(b"\n")
+        if found >= 0:
+            return pos + found + 1
+        pos += len(chunk)
+    return pos
+
+
+def _ranges(path: Path, parts: int) -> list[tuple[int, int | None]]:
+    """The byte ranges a table is scanned in: its first line, then up to
+    ``parts`` ranges of about equal size, each ending just after a "\n".
+    A file smaller than one block, or one that cannot be read, is one range."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return _parse(fh, path, vocab)
-    except OSError as exc:
-        raise EmbeddingFormatError(f"cannot read embedding file: {exc}") from None
-    except UnicodeDecodeError as exc:
-        # A block's bytes are decoded on their own, so exc counts from the
-        # block's start; decoding the whole file gives the file position.
-        try:
-            path.read_bytes().decode("utf-8")
-        except UnicodeDecodeError as whole:
-            exc = whole
-        raise EmbeddingFormatError(f"embedding file is not valid UTF-8: {path} ({exc})") from None
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if size < _BLOCK_CHARS:
+                return [(0, None)]
+            head = _line_end(fh, 0)
+            cuts = {_line_end(fh, head + (size - head) * k // parts) for k in range(1, parts)}
+    except OSError:
+        return [(0, None)]
+    bounds = [0, *sorted({head, size} | cuts)]
+    return list(zip(bounds, bounds[1:]))
 
 
-def _parse(fh, path: Path, vocab: Container[str] | None) -> EmbeddingTable:
-    header_vocab = None
-    dim = None
-    source_format = GLOVE_TEXT
-    # A kept line's vector goes into the next free row; a repeated word does
-    # not claim that row, so the following kept line overwrites it.
-    index: dict[str, int] = {}
-    matrix = None
-    line_no = 0
-    for block in _blocks(fh):
-        # An unused line needs only its word and its token count, and in a
-        # single-spaced block a space count proves the latter without split().
-        fast = vocab is not None and _single_spaced(block)
-        for line in block.splitlines():
-            line_no += 1
-            if fast and line.count(" ") == dim and line[-1] != " ":
-                cut = line.find(" ")
-                if cut > 0 and line[:cut].lower() not in vocab:
-                    continue
-            parts = line.split()
-            if line_no == 1 and _is_word2vec_header(parts):
-                header_vocab, dim = int(parts[0]), int(parts[1])
-                if header_vocab < 1 or dim < 1:
-                    raise EmbeddingFormatError(f"line 1: invalid word2vec header {line!r}")
-                source_format = WORD2VEC_TEXT
-                continue
-            if not parts:
-                raise EmbeddingFormatError(f"line {line_no}: empty line")
-            if dim is None:
-                dim = len(parts) - 1
-                if dim < 1:
-                    raise EmbeddingFormatError(f"line {line_no}: no vector components")
-            if len(parts) != dim + 1:
-                raise EmbeddingFormatError(
-                    f"line {line_no}: expected {dim} components, got {len(parts) - 1}"
-                )
-            word = parts[0].lower()
-            if vocab is not None and word not in vocab:
-                continue
-            row = len(index)
-            if matrix is None:
-                matrix = np.empty((_FIRST_ROWS, dim))
-            elif row == len(matrix):
-                matrix = np.concatenate((matrix, np.empty_like(matrix)))
-            try:
-                matrix[row] = parts[1:]
-            except ValueError as exc:
-                raise EmbeddingFormatError(
-                    f"line {line_no}: non-numeric component ({exc})") from None
-            if not np.isfinite(matrix[row]).all():
-                raise EmbeddingFormatError(f"line {line_no}: non-finite component")
-            index.setdefault(word, row)
-
-    if line_no == 0:
-        raise EmbeddingFormatError(f"empty embedding file: {path}")
-    data_lines = line_no - (header_vocab is not None)
-    if data_lines == 0:
-        raise EmbeddingFormatError(f"no vectors in embedding file: {path}")
-    if header_vocab is not None and header_vocab != data_lines:
-        raise EmbeddingFormatError(
-            f"word2vec header declares {header_vocab} words but file has {data_lines}"
-        )
-    matrix = np.empty((0, dim)) if matrix is None else matrix[:len(index)].copy()
-    return EmbeddingTable(index=index, matrix=matrix, source_format=source_format)
+def parse_embedding_files(
+    paths, vocab: Container[str] | None, parts: int, map_scans,
+) -> list[EmbeddingTable]:
+    """``[parse_embedding_file(path, vocab) for path in paths]``, computed in
+    byte ranges: each table is split after its first line into up to
+    ``parts`` ranges of whole lines (see ``_ranges``). This process scans
+    every first line, which sets the table's dimension, and then
+    ``map_scans(_scan, jobs)`` must return ``[_scan(*job) for job in jobs]``
+    for the other ranges of every table, say from a pool of processes. The
+    error raised is the one the serial parses would raise first."""
+    plans, jobs = [], []
+    for path in map(Path, paths):
+        (start, end), *rest = _ranges(path, parts)
+        head = _scan(path, start, end, vocab, None)
+        body = [] if head.error else [(path, a, b, vocab, head.dim) for a, b in rest]
+        plans.append((path, head, len(body)))
+        jobs += body
+    scans = iter(map_scans(_scan, jobs) if jobs else ())
+    return [_table(path, [head, *(next(scans) for _ in range(n))]) for path, head, n in plans]
 
 
 def write_embedding_file(table: EmbeddingTable, path: str | Path) -> None:

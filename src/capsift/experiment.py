@@ -6,17 +6,19 @@ for every (topic, embedding) unit it vectorizes the captions,
 stratified-splits them, balances the training side, sweeps the classifier
 suite on the three-class and binary tasks, and collects evaluation reports
 plus top-T embedding scores. All randomness is derived from the master seed
-per cell, so reruns are byte-identical, and the units may run in a pool of
-forked workers without changing any output.
+per cell, so reruns are byte-identical, and the table scans and the units
+may run in pools of forked workers without changing any output.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import itertools
 import math
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -32,7 +34,9 @@ from .corpus import (
     load_manifest,
     load_stopwords,
 )
-from .embeddings import EmbeddingTable, parse_embedding_file, vectorize_caption
+from .embeddings import (
+    EmbeddingTable, parse_embedding_file, parse_embedding_files, vectorize_caption,
+)
 from .metrics import (
     REPORT_CSV_HEADER,
     TASK_BINARY,
@@ -104,6 +108,12 @@ class ExperimentConfig:
     out_dir: Path = Path("capsift-out")
 
     def __post_init__(self) -> None:
+        for name in ("embeddings", "topics", "algorithms", "t_values"):
+            value = getattr(self, name)
+            if isinstance(value, str) or not isinstance(value, Iterable):
+                raise ConfigError(f"{name} must be a sequence, got {value!r}")
+        if not isinstance(self.hyperparams, dict):
+            raise ConfigError(f"hyperparams must be a dict, got {self.hyperparams!r}")
         for name, value in (("smote_k", self.smote_k), ("seed", self.seed),
                             *(("t_values", t) for t in self.t_values)):
             if not _is_int(value):
@@ -486,42 +496,42 @@ def run_cell(
     return reports, skipped
 
 
-# The (config, units) of a pool worker's run, set by its initializer. A pool
+# The (function, jobs) of a pool worker, set by its initializer. A pool
 # worker runs nothing else, and this process never sets it.
 _pool_work: tuple | None = None
 
 
-def _start_worker(config: ExperimentConfig, units: list) -> None:
+def _start_worker(fn, jobs: list) -> None:
     global _pool_work
-    _pool_work = (config, units)
+    _pool_work = (fn, jobs)
 
 
-def _run_unit(index: int):
-    config, units = _pool_work
-    return run_topic_embedding(config, *units[index])
+def _run_job(index: int):
+    fn, jobs = _pool_work
+    return fn(*jobs[index])
 
 
-def _unit_results(config: ExperimentConfig, units: list, workers: int):
-    """An iterator over ``run_topic_embedding(config, *unit)`` for each unit,
-    in unit order: run lazily in this process, or all at once in a pool of
-    forked workers when there are two or more of each and fork is available.
-    A worker's exception, or its death (BrokenProcessPool), is raised here."""
-    if workers > 1 and len(units) > 1:
-        # imported here, so a serial run and its load prefix never pay for them
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+def _fork_available() -> bool:
+    # imported here, so a serial run and its load prefix never pay for it
+    import multiprocessing
 
-        if "fork" in multiprocessing.get_all_start_methods():
-            # Forked workers inherit the caller's module state, and the units
-            # through the initializer's arguments, so only unit indices and
-            # results are pickled. With fork the pool starts every worker
-            # before it starts its own thread.
-            with ProcessPoolExecutor(min(workers, len(units)),
-                                     multiprocessing.get_context("fork"),
-                                     initializer=_start_worker,
-                                     initargs=(config, units)) as executor:
-                return iter(list(executor.map(_run_unit, range(len(units)))))
-    return (run_topic_embedding(config, *unit) for unit in units)
+    return "fork" in multiprocessing.get_all_start_methods()
+
+
+def _fork_map(fn, jobs: list, workers: int) -> list:
+    """``[fn(*job) for job in jobs]``, computed in a pool of
+    ``min(workers, len(jobs))`` forked workers. A worker's exception, or
+    its death (BrokenProcessPool), is raised here."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # Forked workers inherit the caller's module state, and fn and the jobs
+    # through the initializer's arguments, so only job indices and results
+    # are pickled. With fork the pool starts every worker before it starts
+    # its own thread.
+    with ProcessPoolExecutor(min(workers, len(jobs)), multiprocessing.get_context("fork"),
+                             initializer=_start_worker, initargs=(fn, jobs)) as executor:
+        return list(executor.map(_run_job, range(len(jobs))))
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
@@ -532,10 +542,12 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
     skipped with a logged reason and the run continues. Any other exception
     is a programming error and propagates.
 
-    With ``workers`` > 1 the (topic, embedding) units run in a pool of
-    forked processes (at most one per unit), and their results are taken in
-    unit order, so the result is the same at any worker count. A run with
-    one unit, one worker, or no ``fork`` start method runs in this process.
+    With ``workers`` > 1 and a ``fork`` start method, the tables are
+    scanned in byte ranges by a pool of forked processes, and then the
+    (topic, embedding) units run in another (at most one worker per unit);
+    both results are taken in file or unit order, so the result, and the
+    error raised, are the same at any worker count. Otherwise, and for the
+    units when there is only one, the run stays in this process.
     """
     if not _is_int(workers) or workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
@@ -547,14 +559,26 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
         config = replace(config, topics=tuple(sorted({r.topic.value for r in records})))
     loaded = [load_topic(t, records, config.captions_root, stopwords) for t in config.topics]
     vocab = {token for kept, _, _ in loaded for doc in kept for token in doc.tokens}
-    tables = [
-        (name, parse_embedding_file(path, vocab=vocab))
-        for name, path in config.embeddings
-    ]
+    pooled = workers > 1 and _fork_available()
+    names, paths = zip(*config.embeddings)
+    if pooled:
+        # numpy imports these on first use: once here, before the first fork,
+        # rather than once in every unit worker
+        import numpy.ma  # noqa: F401
+        import numpy.random  # noqa: F401
+
+        parsed = parse_embedding_files(
+            paths, vocab, workers, functools.partial(_fork_map, workers=workers))
+    else:
+        parsed = [parse_embedding_file(path, vocab=vocab) for path in paths]
+    tables = list(zip(names, parsed))
 
     units = [(topic, name, table, kept) for topic, (kept, _, _) in zip(config.topics, loaded)
              if kept for name, table in tables]
-    results = _unit_results(config, units, workers)
+    if pooled and len(units) > 1:
+        results = iter(_fork_map(functools.partial(run_topic_embedding, config), units, workers))
+    else:
+        results = (run_topic_embedding(config, *unit) for unit in units)
     reports: list[EvaluationReport] = []
     exclusions: list[Exclusion] = []
     skipped: list[SkippedCell] = []

@@ -1,5 +1,7 @@
 """Embedding file parsing, round trips, and caption vectorization."""
 
+import io
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -16,7 +18,10 @@ from capsift.embeddings import (
     GLOVE_TEXT,
     WORD2VEC_TEXT,
     EmbeddingFormatError,
+    _blocks,
+    _ranges,
     parse_embedding_file,
+    parse_embedding_files,
     vectorize_caption,
     write_embedding_file,
 )
@@ -303,6 +308,183 @@ def test_non_utf8_position_counts_from_file_start(tmp_path):
 def test_missing_file():
     with pytest.raises(EmbeddingFormatError, match="absent"):
         parse_embedding_file("/nonexistent/absent.txt")
+
+
+
+# --- scanning in byte ranges ---------------------------------------------------
+# parse_embedding_files scans a table's ranges through the map it is given;
+# here that map runs them in this process.
+
+RANGE_COUNTS = [1, 2, 3, 7]
+
+
+def in_process(fn, jobs):
+    return [fn(*job) for job in jobs]
+
+
+def table_outcome(parse):
+    """The error message of a parse, or its (word, vector) pairs in row
+    order with the table's format and matrix shape."""
+    try:
+        table = parse()
+    except EmbeddingFormatError as exc:
+        return str(exc)
+    rows = [(word, table.matrix[row].tolist()) for word, row in table.index.items()]
+    return rows, table.source_format, table.matrix.shape
+
+
+def ranged_outcome(path, vocab, parts):
+    return table_outcome(lambda: parse_embedding_files([path], vocab, parts, in_process)[0])
+
+
+def serial_outcome(path, vocab=None):
+    return table_outcome(lambda: parse_embedding_file(path, vocab))
+
+
+def line_of_range(path, parts, line_no):
+    """The index of the range that holds line ``line_no`` (counted by "\n")."""
+    offset = sum(len(line) for line in path.read_bytes().splitlines(keepends=True)[:line_no - 1])
+    return next(i for i, (start, end) in enumerate(_ranges(path, parts))
+                if start <= offset and (end is None or offset < end))
+
+
+@given(st.lists(embedding_lines(), max_size=4), st.booleans(),
+       st.sets(st.sampled_from(["a", "w", "w1", "w25", "1"])), st.sampled_from(["", "\n"]))
+def test_range_scan_agrees_with_the_serial_parse(lines, header, vocab, end):
+    lines = ["a 1 2"] + lines + ["b 3 4"]
+    text = (f"{len(lines)} 2\n" if header else "") + "\n".join(lines) + end
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        path = Path(tmp) / "emb.txt"
+        path.write_text(text, encoding="utf-8")
+        # a file of one block or more is split; with one-byte blocks, every file is
+        mp.setattr(capsift.embeddings, "_BLOCK_CHARS", 1)
+        for restriction in (vocab, None):
+            expected = serial_outcome(path, restriction)
+            for parts in RANGE_COUNTS:
+                assert ranged_outcome(path, restriction, parts) == expected, parts
+
+
+def numbered_lines(n, dim=2):
+    return [f"w{i} " + " ".join(f"{i}.{j}" for j in range(dim)) for i in range(n)]
+
+
+@pytest.mark.parametrize("parts", RANGE_COUNTS)
+def test_ranges_cover_the_file_in_whole_lines(tmp_path, monkeypatch, parts):
+    monkeypatch.setattr(capsift.embeddings, "_BLOCK_CHARS", 64)
+    path = write(tmp_path, "\n".join(numbered_lines(200)) + "\n")
+    ranges = _ranges(path, parts)
+    data = path.read_bytes()
+    assert ranges[0] == (0, data.index(b"\n") + 1)  # the first line alone
+    assert len(ranges) == 1 + parts
+    assert [end for _, end in ranges[:-1]] == [start for start, _ in ranges[1:]]
+    assert ranges[-1][1] == len(data)
+    assert all(data[end - 1:end] == b"\n" for _, end in ranges)
+    # a file smaller than one block is one range
+    monkeypatch.setattr(capsift.embeddings, "_BLOCK_CHARS", len(data) + 1)
+    assert _ranges(path, parts) == [(0, None)]
+
+
+@pytest.mark.parametrize("parts", RANGE_COUNTS)
+def test_range_scan_keeps_the_first_of_a_word_repeated_across_ranges(
+        tmp_path, monkeypatch, parts):
+    monkeypatch.setattr(capsift.embeddings, "_BLOCK_CHARS", 64)
+    lines = numbered_lines(200)
+    lines[1] = "Dup 1.5 2.5"
+    lines[-2] = "dup 9.0 9.0"
+    path = write(tmp_path, "\n".join(lines) + "\n")
+    if parts > 1:
+        assert line_of_range(path, parts, 2) < line_of_range(path, parts, 199)
+    for vocab in (None, {"dup", "w0", "w150"}):
+        outcome = ranged_outcome(path, vocab, parts)
+        assert outcome == serial_outcome(path, vocab)
+        rows = dict(outcome[0])
+        assert rows["dup"] == [1.5, 2.5]
+        assert len(outcome[0]) == outcome[2][0] == (199 if vocab is None else 3)
+
+
+@pytest.mark.parametrize("parts", RANGE_COUNTS)
+def test_range_scan_numbers_a_malformed_last_line_from_the_file_start(
+        tmp_path, monkeypatch, parts):
+    monkeypatch.setattr(capsift.embeddings, "_BLOCK_CHARS", 64)
+    for header in ("", "201 2\n"):
+        path = write(tmp_path, header + "\n".join(numbered_lines(200) + ["bad 1.0"]) + "\n")
+        last = 201 + bool(header)
+        assert line_of_range(path, parts, last) == len(_ranges(path, parts)) - 1
+        message = f"line {last}: expected 2 components, got 1"
+        for vocab in (None, {"w3"}, set()):
+            assert ranged_outcome(path, vocab, parts) == message
+            assert serial_outcome(path, vocab) == message
+
+
+@pytest.mark.parametrize("parts", RANGE_COUNTS)
+@pytest.mark.parametrize("declared", [199, 201])
+def test_range_scan_checks_the_word2vec_header_count(tmp_path, monkeypatch, parts, declared):
+    monkeypatch.setattr(capsift.embeddings, "_BLOCK_CHARS", 64)
+    path = write(tmp_path, f"{declared} 2\n" + "\n".join(numbered_lines(200)) + "\n")
+    message = f"word2vec header declares {declared} words but file has 200"
+    for vocab in (None, {"w7"}):
+        assert ranged_outcome(path, vocab, parts) == message
+        assert serial_outcome(path, vocab) == message
+    path.write_text("200 2\n" + "\n".join(numbered_lines(200)) + "\n", encoding="utf-8")
+    rows, source_format, _ = ranged_outcome(path, {"w7", "w170"}, parts)
+    assert source_format == WORD2VEC_TEXT
+    assert rows == [("w7", [7.0, 7.1]), ("w170", [170.0, 170.1])]
+
+
+@pytest.mark.parametrize("parts", RANGE_COUNTS)
+def test_range_scan_gives_the_whole_file_position_of_bytes_not_utf8(tmp_path, parts):
+    path = tmp_path / "late.txt"
+    path.write_bytes(b"w 1.0 2.0\n" * 10_000 + b"caf\xe9 1.0 2.0\n")
+    assert len(_ranges(path, parts)) == 1 + parts  # 100 kB is more than one block
+    for vocab in (None, {"w"}):
+        message = ranged_outcome(path, vocab, parts)
+        assert message.startswith(f"embedding file is not valid UTF-8: {path} (")
+        assert "in position 100003:" in message
+
+
+@pytest.mark.parametrize("block_chars", [1, 4, 1 << 16])
+def test_blocks_end_every_line_with_a_newline(monkeypatch, block_chars):
+    # as a text-mode read does, so a CRLF table stays single-spaced
+    monkeypatch.setattr(capsift.embeddings, "_BLOCK_CHARS", block_chars)
+    data = b"a 1\r\nb 2\rc 3\n\r\nd 4\r"
+    blocks = list(_blocks(io.BytesIO(data), math.inf))
+    assert "".join(blocks) == "a 1\nb 2\nc 3\n\nd 4\n"
+    assert all(block.endswith("\n") for block in blocks)
+    assert "".join(_blocks(io.BytesIO(data), 9)) == "a 1\nb 2\n"  # a range's bytes only
+
+
+BAD_BYTE_CASES = [
+    # (lines, expected error): the bad byte counts at the line that holds it
+    ([b"a 1 2", b"caf\xe9 1 2", b"b 3"], "not valid UTF-8"),
+    ([b"a 1 2", b"b 3", b"caf\xe9 1 2"], "line 2: expected 2 components, got 1"),
+    ([b"a 1 2", b"caf\xe9 3"], "not valid UTF-8"),  # both on one line
+    ([b"a 1 2", b"b 3\x0bcaf\xe9 1 2"], "line 2: expected 2 components, got 1"),
+    ([b"a 1 2", b"caf\xe9 1 2\x0bb 3"], "not valid UTF-8"),
+    ([b"a 1 2", b"b 3 4\rc\xe9 1 2\r\nd 3"], "not valid UTF-8"),
+    ([b"a 1 2", b"b 3 4\r\nd 3\rc\xe9 1 2"], "line 3: expected 2 components, got 1"),
+    ([b"a 1 2", b"\xe9"], "not valid UTF-8"),
+    ([b"a 1 2", b"", b"\xe9"], "line 2: empty line"),
+]
+
+
+@pytest.mark.parametrize("lines, expected", BAD_BYTE_CASES)
+@pytest.mark.parametrize("block_chars", [1, 7, 1 << 16])
+def test_the_first_of_bad_bytes_and_a_malformed_line_is_reported(
+        tmp_path, monkeypatch, lines, expected, block_chars):
+    monkeypatch.setattr(capsift.embeddings, "_BLOCK_CHARS", block_chars)
+    filler = [b"w%d 0.5 0.5" % i for i in range(30)]
+    for before in ([], filler):
+        path = tmp_path / "mixed.txt"
+        path.write_bytes(b"\n".join(before + lines) + b"\n")
+        if expected.startswith("line "):
+            line, rest = expected[len("line "):].split(": ", 1)
+            expected_here = f"line {int(line) + len(before)}: {rest}"
+        else:
+            expected_here = f"embedding file is not valid UTF-8: {path}"
+        outcomes = [serial_outcome(path)] + [
+            ranged_outcome(path, vocab, parts) for parts in RANGE_COUNTS for vocab in (None, {"a"})]
+        for outcome in outcomes:
+            assert outcome.startswith(expected_here), outcome
 
 
 # --- caption vectorization -------------------------------------------------

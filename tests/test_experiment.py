@@ -20,11 +20,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import capsift.cli
+import capsift.embeddings
 import capsift.experiment
 from capsift.classifiers import ALGORITHMS, DUMMY
 from capsift.cli import EXIT_ERROR, EXIT_OK, EXIT_PARTIAL, main
 from capsift.corpus import Topic, filter_corpus, load_corpus, load_manifest, load_stopwords
-from capsift.embeddings import parse_embedding_file
+from capsift.embeddings import EmbeddingFormatError, parse_embedding_file
 from capsift.experiment import (
     DEFAULT_T_VALUES,
     KEYS,
@@ -260,6 +261,17 @@ def base_config(**overrides):
         ({"seed": 1.5}, "seed must be an integer, got 1.5"),
         ({"seed": True}, "seed must be an integer, got True"),
         ({"test_fraction": "0.2"}, "test_fraction must be a number, got '0.2'"),
+        ({"t_values": 5}, "t_values must be a sequence, got 5"),
+        ({"t_values": "5"}, "t_values must be a sequence, got '5'"),
+        ({"topics": "moon"}, "topics must be a sequence, got 'moon'"),
+        ({"topics": 3}, "topics must be a sequence, got 3"),
+        ({"algorithms": "knn"}, "algorithms must be a sequence, got 'knn'"),
+        ({"algorithms": None}, "algorithms must be a sequence, got None"),
+        ({"embeddings": "e.txt"}, "embeddings must be a sequence, got 'e.txt'"),
+        ({"embeddings": Path("e.txt")},
+         re.escape(f"embeddings must be a sequence, got {Path('e.txt')!r}")),
+        ({"hyperparams": [("knn", {"k": 3})]}, "hyperparams must be a dict, got"),
+        ({"hyperparams": None}, "hyperparams must be a dict, got None"),
     ],
 )
 def test_config_validation(overrides, fragment):
@@ -746,11 +758,115 @@ def test_cli_main_without_argv_runs_on_the_usable_cpus(tmp_path, monkeypatch, ca
     assert counts == [3]
 
 
-def test_pool_runs_serially_without_fork(fixture_config, fixture_run, monkeypatch):
+def _spy_on_scan(monkeypatch, log: Path) -> Path:
+    """Patch the embedding range scan to append "pid start end" to ``log``,
+    a file, so that scans in forked workers are recorded too."""
+    real_scan = capsift.embeddings._scan
+
+    def scan(path, start, end, vocab, dim):
+        with log.open("a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {start} {end}\n")
+        return real_scan(path, start, end, vocab, dim)
+
+    monkeypatch.setattr(capsift.embeddings, "_scan", scan)
+    return log
+
+
+def _scans(log: Path) -> list[tuple[int, int, int | None]]:
+    rows = [line.split() for line in log.read_text(encoding="utf-8").splitlines()]
+    return [(int(pid), int(start), None if end == "None" else int(end)) for pid, start, end in rows]
+
+
+def test_pool_runs_serially_without_fork(fixture_config, fixture_run, monkeypatch, tmp_path):
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     pids = _spy_on_train(monkeypatch)
+    log = _spy_on_scan(monkeypatch, tmp_path / "scans.log")
+    monkeypatch.setattr(capsift.embeddings, "_BLOCK_CHARS", 1024)  # tables big enough to split
     assert run_experiment(fixture_config, workers=2).reports == fixture_run.reports
     assert pids == [os.getpid()] * 56
+    assert _scans(log) == [(os.getpid(), 0, None)] * 2  # each table one range, in this process
+
+
+def test_pool_scans_a_table_smaller_than_a_block_in_this_process(
+        fixture_config, fixture_run, monkeypatch, tmp_path):
+    sizes = [path.stat().st_size for _, path in fixture_config.embeddings]
+    assert max(sizes) < capsift.embeddings._BLOCK_CHARS
+    log = _spy_on_scan(monkeypatch, tmp_path / "scans.log")
+    assert run_experiment(fixture_config, workers=2).reports == fixture_run.reports
+    assert _scans(log) == [(os.getpid(), 0, None)] * 2
+
+
+def test_pool_scans_split_tables_in_workers_to_the_serial_result(
+        fixture_config, fixture_run, monkeypatch, tmp_path):
+    log = _spy_on_scan(monkeypatch, tmp_path / "scans.log")
+    monkeypatch.setattr(capsift.embeddings, "_BLOCK_CHARS", 1024)
+    pooled = run_experiment(fixture_config, workers=2)
+    for field in dataclasses.fields(fixture_run):
+        assert getattr(pooled, field.name) == getattr(fixture_run, field.name), field.name
+    scans = _scans(log)
+    # each table's first line in this process, then two ranges in the workers
+    assert [(pid == os.getpid(), start == 0) for pid, start, _ in scans] == [
+        (True, True), (True, True), (False, False), (False, False), (False, False),
+        (False, False)]
+
+
+def _malformed_table_config(tmp_path) -> Path:
+    """The fixture config with a copy of its GloVe table whose last line
+    has one component too few."""
+    table = tmp_path / "toy16_bad.txt"
+    text = (FIXTURES / "embeddings" / "toy16_glove.txt").read_text(encoding="utf-8")
+    table.write_text(text + "broken 1.0 2.0\n", encoding="utf-8")
+    config = tmp_path / "bad.cfg"
+    config.write_text(f"manifest = {FIXTURES / 'manifest.csv'}\n"
+                      f"captions_root = {FIXTURES}\n"
+                      f"embedding.toy16 = {table}\n"
+                      f"embedding.toy8 = {FIXTURES / 'embeddings' / 'toy8_w2v.txt'}\n"
+                      f"out = {tmp_path / 'out'}\n", encoding="utf-8")
+    return config
+
+
+def test_pool_reports_a_malformed_table_as_a_serial_run_does(tmp_path, monkeypatch, capsys):
+    config_path = _malformed_table_config(tmp_path)
+    config = load_config(config_path)
+    log = _spy_on_scan(monkeypatch, tmp_path / "scans.log")
+    monkeypatch.setattr(capsift.embeddings, "_BLOCK_CHARS", 1024)
+    messages = []
+    for workers in (1, 2):
+        with pytest.raises(EmbeddingFormatError) as err:
+            run_experiment(config, workers=workers)
+        messages.append(str(err.value))
+    lines = (FIXTURES / "embeddings" / "toy16_glove.txt").read_text(encoding="utf-8").count("\n")
+    assert messages == [f"line {lines + 1}: expected 16 components, got 2"] * 2
+    assert any(pid != os.getpid() for pid, _, _ in _scans(log))  # the pool scanned
+
+    argv = ["run", "--config", str(config_path)]
+    assert main(argv) == EXIT_ERROR  # an embedded call: serial
+    serial = capsys.readouterr()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(sys, "argv", ["capsift", *argv])
+    assert main() == EXIT_ERROR  # the process's own command line: pooled
+    pooled = capsys.readouterr()
+    assert pooled.err == serial.err == f"error: {messages[0]}\n"
+    assert pooled.out == serial.out == ""
+
+
+def test_pool_fails_the_run_when_a_worker_dies_in_the_parse(fixture_config, monkeypatch):
+    real_scan = capsift.embeddings._scan
+    parent = os.getpid()
+
+    def scan(path, start, end, vocab, dim):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real_scan(path, start, end, vocab, dim)
+
+    monkeypatch.setattr(capsift.embeddings, "_scan", scan)
+    monkeypatch.setattr(capsift.embeddings, "_BLOCK_CHARS", 1024)
+    faulthandler.dump_traceback_later(120, exit=True)  # a hung pool ends the session loudly
+    try:
+        with pytest.raises(BrokenProcessPool):
+            run_experiment(fixture_config, workers=2)
+    finally:
+        faulthandler.cancel_dump_traceback_later()
 
 
 def test_pool_runs_a_single_unit_serially(fixture_config, monkeypatch):
