@@ -332,7 +332,7 @@ def parse_embedding_files(
         body = [] if head.error else [(path, a, b, vocab, head.dim) for a, b in rest]
         plans.append((path, head, len(body)))
         jobs += body
-    scans = iter(map_scans(_scan, jobs) if jobs else ())
+    scans = iter(map_scans(_scan, jobs))
     return [_table(path, [head, *(next(scans) for _ in range(n))]) for path, head, n in plans]
 
 

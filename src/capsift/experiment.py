@@ -2,12 +2,13 @@
 
 Reads a flat key=value config, loads and filters every topic's captions, and
 parses each embedding table restricted to the words those captions use. Then
-for every (topic, embedding) unit it vectorizes the captions,
-stratified-splits them, balances the training side, sweeps the classifier
-suite on the three-class and binary tasks, and collects evaluation reports
-plus top-T embedding scores. All randomness is derived from the master seed
-per cell, so reruns are byte-identical, and the table scans and the units
-may run in pools of forked workers without changing any output.
+for every (topic, embedding) unit it vectorizes the captions and draws one
+stratified split, and for every (topic, task, embedding) cell it balances
+the training side, sweeps the classifier suite and collects evaluation
+reports; top-T embedding scores come from those. All randomness is derived
+from the master seed per cell, so reruns are byte-identical, and the table
+scans and the cells may run in pools of forked workers without changing any
+output.
 """
 
 from __future__ import annotations
@@ -398,15 +399,16 @@ def load_topic(
     return kept, load_skips + rejections, skipped
 
 
-def run_topic_embedding(
+def prepare_unit(
     config: ExperimentConfig, topic: str, name: str, table: EmbeddingTable, kept,
-) -> tuple[list[EvaluationReport], list[Exclusion], list[SkippedCell]]:
-    """Run one (topic, embedding) unit: vectorize the topic's kept captions,
-    draw one seeded split and run ``run_cell`` on it for each task.
+) -> tuple[tuple | None, list[Exclusion], list[SkippedCell]]:
+    """Vectorize one topic's kept captions against one embedding and draw
+    the (topic, embedding)'s seeded split, which every task shares.
 
-    Returns (reports, exclusions, skipped). Captions without coverage are
-    exclusions. When no caption is covered, or a class has fewer than 2
-    members, the whole (topic, embedding) is skipped.
+    Returns (data, exclusions, skipped): data is ``run_cell``'s trailing
+    arguments (features, labels, train_idx, test_idx), or None when no
+    caption is covered or a class has fewer than 2 members, which skips the
+    whole (topic, embedding). Captions without coverage are exclusions.
     """
     rows, labels = [], []
     exclusions: list[Exclusion] = []
@@ -422,26 +424,18 @@ def run_topic_embedding(
         rows.append(cv.vector)
         labels.append(int(doc.record.label))
     if not rows:
-        return [], exclusions, [SkippedCell(
+        return None, exclusions, [SkippedCell(
             topic, "*", name, "*", "no caption had embedding coverage")]
     y3 = np.array(labels, dtype=np.int64)
     classes3, counts3 = np.unique(y3, return_counts=True)
     if len(classes3) < 2 or counts3.min() < 2:
-        return [], exclusions, [SkippedCell(
+        return None, exclusions, [SkippedCell(
             topic, "*", name, "*",
             f"class counts {dict(zip(classes3.tolist(), counts3.tolist()))} "
             "too small to split")]
     split_seed = derive_seed(config.seed, topic, "split", name)
     train_idx, test_idx = stratified_split(y3, config.test_fraction, split_seed)
-    features = np.vstack(rows)
-    reports: list[EvaluationReport] = []
-    skipped: list[SkippedCell] = []
-    for task in config.tasks():
-        cell_reports, cell_skips = run_cell(
-            config, topic, task, name, features, y3, train_idx, test_idx)
-        reports.extend(cell_reports)
-        skipped.extend(cell_skips)
-    return reports, exclusions, skipped
+    return (np.vstack(rows), y3, train_idx, test_idx), exclusions, []
 
 
 def run_cell(
@@ -511,17 +505,13 @@ def _run_job(index: int):
     return fn(*jobs[index])
 
 
-def _fork_available() -> bool:
-    # imported here, so a serial run and its load prefix never pay for it
-    import multiprocessing
-
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
 def _fork_map(fn, jobs: list, workers: int) -> list:
-    """``[fn(*job) for job in jobs]``, computed in a pool of
+    """``[fn(*job) for job in jobs]``: in this process when ``workers`` is 1
+    or there are fewer than 2 jobs, else in a pool of
     ``min(workers, len(jobs))`` forked workers. A worker's exception, or
     its death (BrokenProcessPool), is raised here."""
+    if workers == 1 or len(jobs) < 2:
+        return [fn(*job) for job in jobs]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
@@ -542,12 +532,14 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
     skipped with a logged reason and the run continues. Any other exception
     is a programming error and propagates.
 
-    With ``workers`` > 1 and a ``fork`` start method, the tables are
-    scanned in byte ranges by a pool of forked processes, and then the
-    (topic, embedding) units run in another (at most one worker per unit);
-    both results are taken in file or unit order, so the result, and the
-    error raised, are the same at any worker count. Otherwise, and for the
-    units when there is only one, the run stays in this process.
+    This process loads every topic, parses the tables, and vectorizes and
+    splits every (topic, embedding) unit; the (topic, task, embedding) cells
+    are then one list of ``run_cell`` jobs. With ``workers`` > 1 and a
+    ``fork`` start method, the tables are scanned in byte ranges by a pool
+    of forked processes, and the cells run in another; both results are
+    taken in file or job order, so the result, and the error raised, are
+    the same at any worker count. Otherwise, and for a map of fewer than 2
+    jobs, the work stays in this process.
     """
     if not _is_int(workers) or workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
@@ -559,40 +551,40 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
         config = replace(config, topics=tuple(sorted({r.topic.value for r in records})))
     loaded = [load_topic(t, records, config.captions_root, stopwords) for t in config.topics]
     vocab = {token for kept, _, _ in loaded for doc in kept for token in doc.tokens}
-    pooled = workers > 1 and _fork_available()
-    names, paths = zip(*config.embeddings)
-    if pooled:
-        # numpy imports these on first use: once here, before the first fork,
-        # rather than once in every unit worker
-        import numpy.ma  # noqa: F401
-        import numpy.random  # noqa: F401
+    if workers > 1:
+        import multiprocessing  # here, so a serial run and its load prefix never pay for it
 
+        if "fork" not in multiprocessing.get_all_start_methods():
+            workers = 1
+    names, paths = zip(*config.embeddings)
+    if workers > 1:
         parsed = parse_embedding_files(
             paths, vocab, workers, functools.partial(_fork_map, workers=workers))
     else:
         parsed = [parse_embedding_file(path, vocab=vocab) for path in paths]
-    tables = list(zip(names, parsed))
 
-    units = [(topic, name, table, kept) for topic, (kept, _, _) in zip(config.topics, loaded)
-             if kept for name, table in tables]
-    if pooled and len(units) > 1:
-        results = iter(_fork_map(functools.partial(run_topic_embedding, config), units, workers))
-    else:
-        results = (run_topic_embedding(config, *unit) for unit in units)
+    # Each topic, then each of its (topic, embedding) units, is replayed as
+    # (exclusions, skips, number of cell jobs), so exclusions.log stays in
+    # topic order and every skip follows those of the units before it.
+    jobs, replay = [], []
+    for topic, (kept, topic_exclusions, topic_skips) in zip(config.topics, loaded):
+        replay.append((topic_exclusions, topic_skips, 0))
+        for name, table in zip(names, parsed) if kept else ():
+            data, unit_exclusions, unit_skips = prepare_unit(config, topic, name, table, kept)
+            cells = [] if data is None else [
+                (config, topic, task, name, *data) for task in config.tasks()]
+            replay.append((unit_exclusions, unit_skips, len(cells)))
+            jobs += cells
+    results = iter(_fork_map(run_cell, jobs, workers))
     reports: list[EvaluationReport] = []
     exclusions: list[Exclusion] = []
     skipped: list[SkippedCell] = []
-    # Each topic's load results are replayed here, so exclusions.log stays in
-    # topic order: a topic's coverage exclusions follow its filter ones.
-    for topic, (kept, topic_exclusions, topic_skips) in zip(config.topics, loaded):
-        exclusions.extend(topic_exclusions)
-        skipped.extend(topic_skips)
-        if kept:
-            for _ in tables:
-                unit_reports, unit_exclusions, unit_skips = next(results)
-                reports.extend(unit_reports)
-                exclusions.extend(unit_exclusions)
-                skipped.extend(unit_skips)
+    for group_exclusions, group_skips, n_cells in replay:
+        exclusions += group_exclusions
+        skipped += group_skips
+        for cell_reports, cell_skips in itertools.islice(results, n_cells):
+            reports += cell_reports
+            skipped += cell_skips
 
     reports.sort(key=lambda r: (r.topic, r.task, r.embedding, r.model))
     pool = [r for r in reports if r.model != DUMMY]

@@ -39,9 +39,10 @@ from capsift.experiment import (
     emit_report,
     load_config,
     normalize_task,
+    prepare_unit,
     render_config,
+    run_cell,
     run_experiment,
-    run_topic_embedding,
     stratified_split,
 )
 from capsift.metrics import TASK_BINARY, TASK_THREE_CLASS
@@ -542,9 +543,12 @@ def prepared_splits(config, monkeypatch):
         kept, _ = filter_corpus(documents)
         for name, path in config.embeddings:
             table = parse_embedding_file(path)
-            run_topic_embedding(config, topic, name, table, kept)
-            splits[topic, name] = drawn.pop()
+            (_, labels, train_idx, test_idx), _, _ = prepare_unit(config, topic, name, table, kept)
+            splits[topic, name] = prepared = drawn.pop()
             assert not drawn
+            # the unit hands run_cell the split it drew
+            assert labels is prepared.labels
+            assert train_idx is prepared.train_idx and test_idx is prepared.test_idx
     return splits
 
 
@@ -618,8 +622,10 @@ def test_single_cell_reproduces_its_rows_of_the_full_sweep(fixture_run, fixture_
     kept, _ = filter_corpus(documents)
     table = parse_embedding_file(dict(fixture_config.embeddings)[name])
     config = dataclasses.replace(fixture_config, task=task)
-    reports, exclusions, skipped = run_topic_embedding(config, topic, name, table, kept)
+    data, exclusions, skipped = prepare_unit(config, topic, name, table, kept)
     assert [e.video_id for e in exclusions] == ["moon_oov"]
+    assert not skipped
+    reports, skipped = run_cell(config, topic, task, name, *data)
     assert not skipped
     assert [r.model for r in reports] == list(fixture_config.algorithms)
     expected = [r for r in fixture_run.reports
@@ -643,7 +649,8 @@ def test_tables_are_parsed_for_the_kept_tokens_of_every_topic(fixture_config, mo
     assert vocabs == [{t for doc in kept for t in doc.tokens}] * 2
 
 
-def test_training_value_error_skips_only_that_model(fixture_config, monkeypatch):
+def _fail_gaussian_nb(monkeypatch) -> None:
+    """Patch ``train`` to raise ValueError, as degenerate data does, for gaussian_nb."""
     real_train = capsift.experiment.train
 
     def train(spec, features, labels):
@@ -652,6 +659,10 @@ def test_training_value_error_skips_only_that_model(fixture_config, monkeypatch)
         return real_train(spec, features, labels)
 
     monkeypatch.setattr(capsift.experiment, "train", train)
+
+
+def test_training_value_error_skips_only_that_model(fixture_config, monkeypatch):
+    _fail_gaussian_nb(monkeypatch)
     config = dataclasses.replace(fixture_config, topics=("moon",), task=TASK_BINARY,
                                  algorithms=("nearest_centroid", "gaussian_nb"))
     result = run_experiment(config)
@@ -684,14 +695,7 @@ def test_pool_result_equals_the_serial_result(fixture_config, fixture_run):
 
 def test_pool_skips_only_the_model_whose_training_raises_value_error(
         fixture_config, monkeypatch):
-    real_train = capsift.experiment.train
-
-    def train(spec, features, labels):
-        if spec.algorithm == "gaussian_nb":
-            raise ValueError("degenerate variance")
-        return real_train(spec, features, labels)
-
-    monkeypatch.setattr(capsift.experiment, "train", train)
+    _fail_gaussian_nb(monkeypatch)
     serial, pooled = (run_experiment(fixture_config, workers=n) for n in (1, 2))
     assert [s.model for s in serial.skipped] == ["gaussian_nb"] * 8
     assert pooled.skipped == serial.skipped
@@ -720,25 +724,30 @@ def test_pool_fails_the_run_when_a_worker_dies(fixture_config, monkeypatch):
         faulthandler.cancel_dump_traceback_later()
 
 
-def _spy_on_train(monkeypatch) -> list[int]:
-    """Patch ``train`` to record the id of the process each call runs in."""
+def _spy_on_train(monkeypatch, log: Path) -> Path:
+    """Patch ``train`` to append the id of the process each call runs in to
+    ``log``, a file, so that calls in forked workers are recorded too."""
     real_train = capsift.experiment.train
-    pids: list[int] = []
 
     def train(spec, features, labels):
-        pids.append(os.getpid())
+        with log.open("a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
         return real_train(spec, features, labels)
 
     monkeypatch.setattr(capsift.experiment, "train", train)
-    return pids
+    return log
+
+
+def _pids(log: Path) -> list[int]:
+    return [int(line) for line in log.read_text(encoding="utf-8").splitlines()]
 
 
 def test_an_embedded_cli_run_trains_in_the_calling_process(tmp_path, monkeypatch, capsys):
-    pids = _spy_on_train(monkeypatch)
+    log = _spy_on_train(monkeypatch, tmp_path / "train.log")
     code = main(["run", "--config", str(FIXTURES / "experiment.cfg"), "--out", str(tmp_path)])
     capsys.readouterr()
     assert code == EXIT_OK
-    assert pids == [os.getpid()] * 56
+    assert _pids(log) == [os.getpid()] * 56
 
 
 def test_cli_main_without_argv_runs_on_the_usable_cpus(tmp_path, monkeypatch, capsys):
@@ -779,11 +788,11 @@ def _scans(log: Path) -> list[tuple[int, int, int | None]]:
 
 def test_pool_runs_serially_without_fork(fixture_config, fixture_run, monkeypatch, tmp_path):
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    pids = _spy_on_train(monkeypatch)
+    train_log = _spy_on_train(monkeypatch, tmp_path / "train.log")
     log = _spy_on_scan(monkeypatch, tmp_path / "scans.log")
     monkeypatch.setattr(capsift.embeddings, "_BLOCK_CHARS", 1024)  # tables big enough to split
     assert run_experiment(fixture_config, workers=2).reports == fixture_run.reports
-    assert pids == [os.getpid()] * 56
+    assert _pids(train_log) == [os.getpid()] * 56
     assert _scans(log) == [(os.getpid(), 0, None)] * 2  # each table one range, in this process
 
 
@@ -869,12 +878,52 @@ def test_pool_fails_the_run_when_a_worker_dies_in_the_parse(fixture_config, monk
         faulthandler.cancel_dump_traceback_later()
 
 
-def test_pool_runs_a_single_unit_serially(fixture_config, monkeypatch):
-    pids = _spy_on_train(monkeypatch)
+def test_pool_runs_the_cells_of_a_single_unit_in_workers(fixture_config, monkeypatch, tmp_path):
+    log = _spy_on_train(monkeypatch, tmp_path / "train.log")
+    real_fork_map = capsift.experiment._fork_map
+    cell_maps = []
+
+    def fork_map(fn, jobs, workers):
+        if fn is capsift.experiment.run_cell:
+            cell_maps.append([job[2] for job in jobs])
+        return real_fork_map(fn, jobs, workers)
+
+    monkeypatch.setattr(capsift.experiment, "_fork_map", fork_map)
     config = dataclasses.replace(fixture_config, topics=("moon",),
                                  embeddings=fixture_config.embeddings[:1])
     run_experiment(config, workers=2)
-    assert pids == [os.getpid()] * 14
+    assert cell_maps == [[TASK_THREE_CLASS, TASK_BINARY]]  # one map of 2 cell jobs
+    pids = _pids(log)
+    assert len(pids) == 14 and os.getpid() not in pids
+
+
+def test_pool_runs_a_single_cell_in_this_process(fixture_config, monkeypatch, tmp_path):
+    log = _spy_on_train(monkeypatch, tmp_path / "train.log")
+    config = dataclasses.replace(fixture_config, topics=("moon",), task=TASK_BINARY,
+                                 embeddings=fixture_config.embeddings[:1])
+    run_experiment(config, workers=2)
+    assert _pids(log) == [os.getpid()] * 7
+
+
+@pytest.mark.parametrize("workers, n_jobs", [(1, 3), (2, 1), (2, 0)])
+def test_fork_map_starts_no_process_for_one_worker_or_one_job(monkeypatch, workers, n_jobs):
+    def fork():
+        raise AssertionError("a process was forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+    jobs = [(k,) for k in range(n_jobs)]
+    results = capsift.experiment._fork_map(lambda k: (os.getpid(), k * k), jobs, workers)
+    assert results == [(os.getpid(), k * k) for k in range(n_jobs)]
+
+
+def test_fork_map_hands_workers_jobs_that_cannot_be_pickled():
+    # jobs carry feature matrices; they reach the workers by fork, and only
+    # indices and results are pickled, so a lambda in a job is no obstacle
+    parent = os.getpid()
+    jobs = [(lambda v: v + 1, 1), (lambda v: v * 10, 2), (lambda v: -v, 3)]
+    results = capsift.experiment._fork_map(
+        lambda fn, v: (os.getpid() != parent, fn(v)), jobs, 2)
+    assert results == [(True, fn(v)) for fn, v in jobs]
 
 
 @pytest.mark.parametrize("workers", [0, -1, 1.5, "2", True])
@@ -1090,8 +1139,8 @@ def test_python_m_capsift_runs_the_cli():
 
 
 def test_python_m_capsift_run_writes_the_pinned_outputs_without_warnings(tmp_path):
-    # Run as its own process, capsift spreads the fixture's 4 units over the
-    # usable CPUs; -W error makes any warning there fail the run.
+    # Run as its own process, capsift spreads the fixture's 8 cell jobs over
+    # the usable CPUs; -W error makes any warning there fail the run.
     root = Path(__file__).parents[1]
     paths = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
@@ -1186,6 +1235,45 @@ def test_exclusions_log_keeps_per_topic_order(tmp_path, capsys):
         "skipped\t911\t*\t*\t*\tno manifest rows for topic",
         "skipped\tchemtrail\t*\t*\t*\tno captions left after filtering",
     ]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_skips_follow_unit_then_cell_order(tmp_path, monkeypatch, workers):
+    # A unit's skip falls between the cell skips of the units before and
+    # after it, at any worker count. "tiny" covers only the words of labels
+    # -1 and 0, so moon's label-1 captions drop out of its (moon, tiny) unit,
+    # which is then left with one class. gaussian_nb fails in every cell that
+    # trains.
+    cfg = write_tiny_corpus(tmp_path, {
+        "vaccines": [-1] * 6 + [0] * 6,            # binary task has one class
+        "moon": [-1] * 6 + [1] * 6,
+    })
+    words = _CLASS_WORDS[-1] + _CLASS_WORDS[0]
+    (tmp_path / "tiny.txt").write_text("".join(
+        f"{word} {i % 6 / 6!r} {float(i >= 6)!r} {i / 12!r}\n" for i, word in enumerate(words)),
+        encoding="utf-8")
+    text = cfg.read_text(encoding="utf-8")
+    cfg.write_text(text.replace("embedding.toy16", "embedding.tiny = tiny.txt\nembedding.toy16"),
+                   encoding="utf-8")
+    _fail_gaussian_nb(monkeypatch)
+    result = run_experiment(load_config(cfg), workers=workers)
+    nb_failed = "failed: ValueError: degenerate variance"
+    single = "training split has a single class"
+    expected = [
+        ("vaccines", TASK_THREE_CLASS, "tiny", "gaussian_nb", nb_failed),
+        ("vaccines", TASK_BINARY, "tiny", "*", single),
+        ("vaccines", TASK_THREE_CLASS, "toy16", "gaussian_nb", nb_failed),
+        ("vaccines", TASK_BINARY, "toy16", "*", single),
+        ("moon", "*", "tiny", "*", "class counts {-1: 6} too small to split"),
+        ("moon", TASK_THREE_CLASS, "toy16", "gaussian_nb", nb_failed),
+        ("moon", TASK_BINARY, "toy16", "gaussian_nb", nb_failed),
+    ]
+    assert [dataclasses.astuple(s) for s in result.skipped] == expected
+    emit_report(result)
+    coverage = "no in-vocabulary tokens for embedding tiny"
+    assert (tmp_path / "out" / "exclusions.log").read_bytes() == "".join(
+        [f"exclusion\tcoverage\tmoon{i:02d}\t{coverage}\n" for i in range(6, 12)]
+        + ["skipped\t" + "\t".join(row) + "\n" for row in expected]).encode("utf-8")
 
 
 def test_cli_run_bad_config_is_an_error(tmp_path, capsys):
