@@ -13,7 +13,9 @@ output.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import ctypes
 import functools
 import hashlib
 import itertools
@@ -524,6 +526,48 @@ def _fork_map(fn, jobs: list, workers: int) -> list:
         return list(executor.map(_run_job, range(len(jobs))))
 
 
+def _openblas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS bundled with
+    numpy's wheel, or None under another BLAS or build."""
+    try:
+        from numpy._core import _multiarray_umath
+
+        # dlsym on the extension's handle also searches the libraries it
+        # links, the bundled OpenBLAS among them
+        blas = ctypes.CDLL(_multiarray_umath.__file__)
+        get_threads = blas.scipy_openblas_get_num_threads64_
+        set_threads = blas.scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    return get_threads, set_threads
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with OpenBLAS on one thread, then restore its count;
+    does nothing where ``_openblas_threads`` finds no OpenBLAS.
+
+    Entered once before the first fork, so forked workers inherit the
+    count of 1 and never start OpenBLAS's own threads, which would compete
+    with the other workers for the cores (and busy-wait after each call).
+    Setting the count after a fork restarts those threads, so the workers
+    never call the setter.
+    """
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get_threads, set_threads = blas
+    threads = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(threads)
+
+
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
     """Run the full sweep described by the config.
 
@@ -539,7 +583,11 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
     of forked processes, and the cells run in another; both results are
     taken in file or job order, so the result, and the error raised, are
     the same at any worker count. Otherwise, and for a map of fewer than 2
-    jobs, the work stays in this process.
+    jobs, the work stays in this process. On that pooled path, from before
+    the first pool forks until the cell map returns, numpy's bundled
+    OpenBLAS runs on one thread in every process, and the caller's thread
+    count is restored afterwards, also when the run raises. A serial run
+    keeps BLAS's default threads, and under another BLAS nothing is pinned.
     """
     if not _is_int(workers) or workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
@@ -557,25 +605,26 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
         if "fork" not in multiprocessing.get_all_start_methods():
             workers = 1
     names, paths = zip(*config.embeddings)
-    if workers > 1:
-        parsed = parse_embedding_files(
-            paths, vocab, workers, functools.partial(_fork_map, workers=workers))
-    else:
-        parsed = [parse_embedding_file(path, vocab=vocab) for path in paths]
+    with _one_blas_thread() if workers > 1 else contextlib.nullcontext():
+        if workers > 1:
+            parsed = parse_embedding_files(
+                paths, vocab, workers, functools.partial(_fork_map, workers=workers))
+        else:
+            parsed = [parse_embedding_file(path, vocab=vocab) for path in paths]
 
-    # Each topic, then each of its (topic, embedding) units, is replayed as
-    # (exclusions, skips, number of cell jobs), so exclusions.log stays in
-    # topic order and every skip follows those of the units before it.
-    jobs, replay = [], []
-    for topic, (kept, topic_exclusions, topic_skips) in zip(config.topics, loaded):
-        replay.append((topic_exclusions, topic_skips, 0))
-        for name, table in zip(names, parsed) if kept else ():
-            data, unit_exclusions, unit_skips = prepare_unit(config, topic, name, table, kept)
-            cells = [] if data is None else [
-                (config, topic, task, name, *data) for task in config.tasks()]
-            replay.append((unit_exclusions, unit_skips, len(cells)))
-            jobs += cells
-    results = iter(_fork_map(run_cell, jobs, workers))
+        # Each topic, then each of its (topic, embedding) units, is replayed as
+        # (exclusions, skips, number of cell jobs), so exclusions.log stays in
+        # topic order and every skip follows those of the units before it.
+        jobs, replay = [], []
+        for topic, (kept, topic_exclusions, topic_skips) in zip(config.topics, loaded):
+            replay.append((topic_exclusions, topic_skips, 0))
+            for name, table in zip(names, parsed) if kept else ():
+                data, unit_exclusions, unit_skips = prepare_unit(config, topic, name, table, kept)
+                cells = [] if data is None else [
+                    (config, topic, task, name, *data) for task in config.tasks()]
+                replay.append((unit_exclusions, unit_skips, len(cells)))
+                jobs += cells
+        results = iter(_fork_map(run_cell, jobs, workers))
     reports: list[EvaluationReport] = []
     exclusions: list[Exclusion] = []
     skipped: list[SkippedCell] = []

@@ -1,6 +1,7 @@
 """Experiment runner: config parsing, splitting, the full sweep, CLI."""
 
 import csv
+import ctypes
 import dataclasses
 import faulthandler
 import hashlib
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 import capsift.cli
 import capsift.embeddings
 import capsift.experiment
-from capsift.classifiers import ALGORITHMS, DUMMY
+from capsift.classifiers import ALGORITHMS, DUMMY, AlgorithmSpec, train
 from capsift.cli import EXIT_ERROR, EXIT_OK, EXIT_PARTIAL, main
 from capsift.corpus import Topic, filter_corpus, load_corpus, load_manifest, load_stopwords
 from capsift.embeddings import EmbeddingFormatError, parse_embedding_file
@@ -702,44 +703,145 @@ def test_pool_skips_only_the_model_whose_training_raises_value_error(
     assert pooled.reports == serial.reports
 
 
-def test_pool_propagates_a_programming_error(fixture_config, monkeypatch):
+# The bundled OpenBLAS's (get, set) thread-count functions, or None under
+# another BLAS; looked up before any test patches the lookup.
+_BLAS = capsift.experiment._openblas_threads()
+needs_openblas = pytest.mark.skipif(_BLAS is None, reason="numpy has no bundled OpenBLAS")
+
+
+def _blas_threads() -> int | None:
+    return None if _BLAS is None else _BLAS[0]()
+
+
+@pytest.fixture
+def blas_at_two_threads():
+    """Set the bundled OpenBLAS, where there is one, to 2 threads for the
+    test, so that a pin to 1 shows on any machine; restore its count after."""
+    if _BLAS is None:
+        yield
+        return
+    get_threads, set_threads = _BLAS
+    threads = get_threads()
+    set_threads(2)
+    yield
+    set_threads(threads)
+
+
+def test_pool_propagates_a_programming_error(fixture_config, monkeypatch, blas_at_two_threads):
     def train(spec, features, labels):
         raise TypeError("bug in a trainer")
 
     monkeypatch.setattr(capsift.experiment, "train", train)
+    threads = _blas_threads()
     with pytest.raises(TypeError, match="bug in a trainer"):
         run_experiment(fixture_config, workers=2)
+    assert _blas_threads() == threads
 
 
-def test_pool_fails_the_run_when_a_worker_dies(fixture_config, monkeypatch):
+def test_pool_fails_the_run_when_a_worker_dies(fixture_config, monkeypatch, blas_at_two_threads):
     def train(spec, features, labels):
         os._exit(3)
 
     monkeypatch.setattr(capsift.experiment, "train", train)
+    threads = _blas_threads()
     faulthandler.dump_traceback_later(120, exit=True)  # a hung pool ends the session loudly
     try:
         with pytest.raises(BrokenProcessPool):
             run_experiment(fixture_config, workers=2)
     finally:
         faulthandler.cancel_dump_traceback_later()
+    assert _blas_threads() == threads
 
 
 def _spy_on_train(monkeypatch, log: Path) -> Path:
-    """Patch ``train`` to append the id of the process each call runs in to
-    ``log``, a file, so that calls in forked workers are recorded too."""
+    """Patch ``train`` to append the id of the process each call runs in,
+    and the BLAS thread count it sees, to ``log``, a file, so that calls in
+    forked workers are recorded too."""
     real_train = capsift.experiment.train
 
     def train(spec, features, labels):
         with log.open("a", encoding="utf-8") as fh:
-            fh.write(f"{os.getpid()}\n")
+            fh.write(f"{os.getpid()} {_blas_threads()}\n")
         return real_train(spec, features, labels)
 
     monkeypatch.setattr(capsift.experiment, "train", train)
     return log
 
 
+def _train_calls(log: Path) -> list[tuple[int, int | None]]:
+    rows = [line.split() for line in log.read_text(encoding="utf-8").splitlines()]
+    return [(int(pid), None if threads == "None" else int(threads)) for pid, threads in rows]
+
+
 def _pids(log: Path) -> list[int]:
-    return [int(line) for line in log.read_text(encoding="utf-8").splitlines()]
+    return [pid for pid, _ in _train_calls(log)]
+
+
+@needs_openblas
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pool_runs_blas_on_one_thread_and_restores_the_count(
+        fixture_config, monkeypatch, tmp_path, blas_at_two_threads, workers):
+    get_threads, set_threads = _BLAS
+    set_log = tmp_path / "set.log"
+    set_log.touch()
+
+    def logged_set(threads):
+        with set_log.open("a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {threads}\n")
+        set_threads(threads)
+
+    monkeypatch.setattr(capsift.experiment, "_openblas_threads",
+                        lambda: (get_threads, logged_set))
+    log = _spy_on_train(monkeypatch, tmp_path / "train.log")
+    run_experiment(fixture_config, workers=workers)
+    if workers == 1:  # BLAS's own threads, never set
+        assert _train_calls(log) == [(os.getpid(), 2)] * 56
+        assert set_log.read_text(encoding="utf-8") == ""
+    else:  # set once before the first fork and once after the last map, in this process
+        assert _train_calls(log) == [(pid, 1) for pid in _pids(log)]
+        assert len(_pids(log)) == 56 and os.getpid() not in _pids(log)
+        assert set_log.read_text(encoding="utf-8") == f"{os.getpid()} 1\n{os.getpid()} 2\n"
+    assert _blas_threads() == 2
+
+
+def _no_library(path):
+    raise OSError(f"{path}: cannot open shared object file")
+
+
+@pytest.mark.parametrize("cdll", [_no_library, lambda path: SimpleNamespace()],
+                         ids=["no-library", "no-symbol"])
+def test_pool_under_another_blas_pins_nothing(
+        fixture_config, fixture_run, monkeypatch, tmp_path, blas_at_two_threads, cdll):
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert capsift.experiment._openblas_threads() is None
+    threads = _blas_threads()
+    log = _spy_on_train(monkeypatch, tmp_path / "train.log")
+    pooled = run_experiment(fixture_config, workers=2)
+    for field in dataclasses.fields(fixture_run):
+        assert getattr(pooled, field.name) == getattr(fixture_run, field.name), field.name
+    assert _train_calls(log) == [(pid, threads) for pid in _pids(log)]
+    assert os.getpid() not in _pids(log)
+    assert _blas_threads() == threads
+
+
+@needs_openblas
+@pytest.mark.parametrize("algorithm", ["logistic_regression", "linear_svm", "knn",
+                                       "nearest_centroid", "gaussian_nb"])
+def test_scores_do_not_depend_on_the_blas_thread_count(blas_at_two_threads, algorithm):
+    # large enough that OpenBLAS splits the products over its threads; fewer
+    # iterations than the default change no product's shape
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(4000, 300))
+    y = np.argmax(X[:, :3] + rng.normal(size=(4000, 3)), axis=1)
+    X_new = rng.normal(size=(1000, 300))
+    hyperparams = {"iterations": 100} if algorithm in ("logistic_regression", "linear_svm") else {}
+    spec = AlgorithmSpec(algorithm, hyperparams)
+    default = train(spec, X, y).predict_scores(X_new)
+    with capsift.experiment._one_blas_thread():
+        assert _blas_threads() == 1
+        pinned = train(spec, X, y).predict_scores(X_new)
+    assert _blas_threads() == 2
+    assert pinned.tobytes() == default.tobytes()
 
 
 def test_an_embedded_cli_run_trains_in_the_calling_process(tmp_path, monkeypatch, capsys):
@@ -859,7 +961,8 @@ def test_pool_reports_a_malformed_table_as_a_serial_run_does(tmp_path, monkeypat
     assert pooled.out == serial.out == ""
 
 
-def test_pool_fails_the_run_when_a_worker_dies_in_the_parse(fixture_config, monkeypatch):
+def test_pool_fails_the_run_when_a_worker_dies_in_the_parse(
+        fixture_config, monkeypatch, blas_at_two_threads):
     real_scan = capsift.embeddings._scan
     parent = os.getpid()
 
@@ -870,12 +973,14 @@ def test_pool_fails_the_run_when_a_worker_dies_in_the_parse(fixture_config, monk
 
     monkeypatch.setattr(capsift.embeddings, "_scan", scan)
     monkeypatch.setattr(capsift.embeddings, "_BLOCK_CHARS", 1024)
+    threads = _blas_threads()
     faulthandler.dump_traceback_later(120, exit=True)  # a hung pool ends the session loudly
     try:
         with pytest.raises(BrokenProcessPool):
             run_experiment(fixture_config, workers=2)
     finally:
         faulthandler.cancel_dump_traceback_later()
+    assert _blas_threads() == threads
 
 
 def test_pool_runs_the_cells_of_a_single_unit_in_workers(fixture_config, monkeypatch, tmp_path):
