@@ -28,24 +28,38 @@ def _gini(counts: np.ndarray, total: int) -> float:
     return 1.0 - float((p ** 2).sum())
 
 
+def _squared_share_sum(counts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Σ_k (counts[k] / sizes)² over the class axis 0 of ``counts``, rounded
+    as ``.sum`` over a contiguous class-last axis rounds: left to right
+    below 8 classes, numpy's pairwise summation from 8 on."""
+    shares = counts / sizes
+    shares **= 2
+    if len(shares) >= 8:
+        return np.moveaxis(shares, 0, -1).copy().sum(axis=-1)
+    total = shares[0]
+    for share in shares[1:]:
+        total += share
+    return total
+
+
 class _TreeGrower:
     """Grows the CART trees of one forest.
 
     Holds what the trees share: the training set as (D, n) feature columns
-    and (n, K) one-hot labels, the hyperparameters, and the child sizes
-    1..n - 1 in both directions, repeated across the K classes, which the
-    split search slices for each node.
+    and one-hot labels, both (n, K) and as a (K, n) copy, the
+    hyperparameters, and the child sizes 1..n - 1 in both directions, which
+    the split search slices for each node.
     """
 
     def __init__(self, X, y_codes, n_classes, max_depth, min_leaf, n_split_features):
         self.columns = np.ascontiguousarray(X.T)
         self.onehot = np.eye(n_classes)[y_codes]
+        self._labels = np.ascontiguousarray(self.onehot.T)
         self.max_depth = max_depth
         self.min_leaf = min_leaf
         self.n_split_features = n_split_features
-        ascending = np.arange(1, len(X), dtype=np.float64)
-        self._ascending = np.repeat(ascending[:, None], n_classes, axis=1)
-        self._descending = np.ascontiguousarray(self._ascending[::-1])
+        self._ascending = np.arange(1, len(X), dtype=np.float64)
+        self._descending = self._ascending[::-1].copy()
 
     def best_split(self, idx: np.ndarray, node_counts: np.ndarray, features: np.ndarray):
         """Scan every candidate threshold of the sampled features at once, for
@@ -59,7 +73,7 @@ class _TreeGrower:
         the midpoint rounds up to the upper.
         """
         m = len(idx)
-        # left and right child sizes at the m - 1 split positions, (m - 1, K)
+        # left and right child sizes at the m - 1 split positions
         sizes_left = self._ascending[: m - 1]
         sizes_right = self._descending[-(m - 1):]
         block = self.columns.take(features, axis=0).take(idx, axis=1)
@@ -70,12 +84,12 @@ class _TreeGrower:
         invalid[:, m - self.min_leaf:] = True  # right child under min_leaf rows
         if invalid.all():
             return None
-        # (feature, position, class), the class axis last and contiguous
-        counts_left = self.onehot.take(idx.take(order[:, :-1]), axis=0).cumsum(axis=1)
-        counts_right = node_counts - counts_left
-        gini_left = 1.0 - ((counts_left / sizes_left) ** 2).sum(axis=2)
-        gini_right = 1.0 - ((counts_right / sizes_right) ** 2).sum(axis=2)
-        weighted = (sizes_left[:, 0] * gini_left + sizes_right[:, 0] * gini_right) / m
+        # (class, feature, position): each class a contiguous (feature, position) plane
+        counts_left = self._labels.take(idx.take(order[:, :-1]), axis=1).cumsum(axis=2)
+        counts_right = node_counts[:, None, None] - counts_left
+        gini_left = 1.0 - _squared_share_sum(counts_left, sizes_left)
+        gini_right = 1.0 - _squared_share_sum(counts_right, sizes_right)
+        weighted = (sizes_left * gini_left + sizes_right * gini_right) / m
         weighted[invalid] = np.inf
         row, pos = divmod(int(weighted.argmin()), m - 1)
         lo, hi = sorted_block[row, pos], sorted_block[row, pos + 1]
@@ -84,8 +98,8 @@ class _TreeGrower:
             threshold = lo
         return (float(weighted[row, pos]), int(features[row]), float(threshold),
                 block[row] <= threshold,
-                (counts_left[row, pos].copy(), float(gini_left[row, pos])),
-                (counts_right[row, pos].copy(), float(gini_right[row, pos])))
+                (counts_left[:, row, pos].copy(), float(gini_left[row, pos])),
+                (counts_right[:, row, pos].copy(), float(gini_right[row, pos])))
 
     def grow(self, rows: np.ndarray, rng: np.random.Generator) -> DecisionTree:
         """One tree on the training rows ``rows`` (repeats allowed).

@@ -84,15 +84,36 @@ _OTHER_WHITESPACE = (
     "\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a"
     "\u2028\u2029\u202f\u205f\u3000"
 )
+_NON_ASCII_WHITESPACE = [c for c in _OTHER_WHITESPACE if not c.isascii()]
 _BLOCK_CHARS = 1 << 16  # bytes per read
 _FIRST_ROWS = 1024
 
 
-def _single_spaced(text: str) -> bool:
-    """True when ``text`` separates tokens only with single " " characters
-    and lines only with "\n". A line of such a text that neither starts nor
-    ends with a space then has exactly ``line.count(" ") + 1`` tokens."""
-    return "  " not in text and not any(c in text for c in _OTHER_WHITESPACE)
+def _uniform(block: str, dim: int) -> bool:
+    """True when every line of ``block`` is ``dim + 1`` tokens joined by
+    single " " characters and ended by "\n". Each line's ``split()`` then
+    has ``dim + 1`` parts, and ``block.split("\n")`` is the block's
+    ``splitlines()`` followed by one empty string.
+
+    The check runs on the block's UTF-8 bytes in a few numpy passes. Bytes
+    up to " " (" ", "\n" and the other ASCII controls) are separators:
+    none may come first or next to another, the last must be "\n", each
+    line must hold ``dim`` spaces, and so the separators must number
+    ``dim + 1`` per line, which leaves no room for any other control byte.
+    Of the other whitespace only non-ASCII characters remain to look for.
+    """
+    data = np.frombuffer(block.encode(), dtype=np.uint8)
+    seps = data <= 32
+    if data[-1] != 10 or seps[0] or (seps[1:] & seps[:-1]).any():
+        return False
+    ends = np.flatnonzero(data == 10)
+    if np.count_nonzero(seps) != (dim + 1) * len(ends):
+        return False
+    # segment k runs from line k - 1's "\n" up to line k's, so holds line k's spaces
+    spaces = np.add.reduceat(data == 32, np.concatenate(([0], ends[:-1])), dtype=np.intp)
+    if (spaces != dim).any():
+        return False
+    return len(data) == len(block) or not any(c in block for c in _NON_ASCII_WHITESPACE)
 
 
 def _blocks(fh, size):
@@ -100,8 +121,9 @@ def _blocks(fh, size):
     in blocks of whole lines.
 
     Every block but the last ends with "\n", and "\r\n" and "\r" become
-    "\n" as in a text-mode read (which keeps a CRLF table single-spaced),
-    so the blocks' ``splitlines()`` together are the whole text's. Bytes
+    "\n" as in a text-mode read (so a CRLF table's blocks can pass
+    ``_uniform``), and the blocks' ``splitlines()`` together are the whole
+    text's. Bytes
     that are not UTF-8 raise UnicodeDecodeError once every whole line
     before the line that holds them was yielded.
     """
@@ -160,7 +182,12 @@ def _scan(path: Path, start: int, end: int | None, vocab: Container[str] | None,
     None), which start a line. A range that starts the file passes ``dim``
     None, and its first line sets it or is a word2vec header; any other
     range passes the dimension its file's first line set. The scan stops at
-    the range's first error."""
+    the range's first error.
+
+    With a ``vocab`` and a known dimension, each block is first checked
+    whole by ``_uniform``. In a block that passes, every line has the right
+    token count, so only the lines whose word is in ``vocab`` are split;
+    a block that fails is split line by line, as without a ``vocab``."""
     header = None
     # A kept line's vector goes into the next free row; a repeated word does
     # not claim that row, so the following kept line overwrites it.
@@ -172,15 +199,18 @@ def _scan(path: Path, start: int, end: int | None, vocab: Container[str] | None,
         with open(path, "rb") as fh:
             fh.seek(start)
             for block in _blocks(fh, math.inf if end is None else end - start):
-                # An unused line needs only its word and its token count, and in a
-                # single-spaced block a space count proves the latter without split().
-                fast = vocab is not None and _single_spaced(block)
-                for line in block.splitlines():
-                    line_no += 1
-                    if fast and line.count(" ") == dim and line[-1] != " ":
-                        cut = line.find(" ")
-                        if cut > 0 and line[:cut].lower() not in vocab:
-                            continue
+                first = line_no
+                if vocab is not None and dim is not None and _uniform(block, dim):
+                    # Every line has the right token count, so an unused
+                    # line needs no split(): only its word is looked at.
+                    lines = block.split("\n")
+                    lines.pop()
+                    todo = [(n, line) for n, line in enumerate(lines, first + 1)
+                            if line[:line.find(" ")].lower() in vocab]
+                else:
+                    lines = block.splitlines()
+                    todo = enumerate(lines, first + 1)
+                for line_no, line in todo:
                     parts = line.split()
                     if dim is None and _is_word2vec_header(parts):
                         header, dim = int(parts[0]), int(parts[1])
@@ -210,6 +240,7 @@ def _scan(path: Path, start: int, end: int | None, vocab: Container[str] | None,
                     if not np.isfinite(matrix[row]).all():
                         raise _LineError("non-finite component")
                     index.setdefault(word, row)
+                line_no = first + len(lines)
     except _LineError as exc:
         error = (line_no, str(exc))
     except UnicodeDecodeError as exc:
@@ -279,8 +310,12 @@ def parse_embedding_file(
     still run on every line, but only lines whose word is in ``vocab`` are
     converted to floats and checked for non-numeric and non-finite
     components. With ``vocab`` None every line is kept. The file is read in
-    blocks, so memory follows the kept rows, not the file. Of a malformed
-    line and bytes that are not UTF-8, the first in the file is reported.
+    blocks, so memory follows the kept rows, not the file. The lines of a
+    block are checked at once, in a few numpy passes over its bytes, for
+    the table's shape (single spaces, the right count); only when a block
+    fails is each line ``split()`` to find the malformed one. Of a
+    malformed line and bytes that are not UTF-8, the first in the file is
+    reported.
     """
     path = Path(path)
     return _table(path, [_scan(path, 0, None, vocab, None)])

@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import capsift.embeddings
-from helpers import make_table
+from helpers import make_table, traced_peak
 from capsift.embeddings import (
     _OTHER_WHITESPACE,
     GLOVE_TEXT,
@@ -113,10 +113,11 @@ def test_restricted_parse_errors_are_located(tmp_path, text, line_no, fragment):
         assert parse_outcome(path, words - bad) == parse_outcome(path)
 
 
-def reference_outcome(path):
-    """``parse_outcome`` of a full parse of a file whose components are all
-    numeric, computed from the whole text's ``splitlines()`` and one
-    ``split()`` per line."""
+def reference_outcome(path, vocab=None):
+    """``parse_outcome`` of a parse restricted to ``vocab`` (None: every
+    word), computed from the whole text's ``splitlines()`` and one
+    ``split()`` per line; only the lines whose word is in ``vocab`` are
+    converted and checked for non-numeric and non-finite components."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -143,7 +144,16 @@ def reference_outcome(path):
             return f"line {line_no}: no vector components"
         if len(parts) != dim + 1:
             return f"line {line_no}: expected {dim} components, got {len(parts) - 1}"
-        vectors.setdefault(parts[0].lower(), [float(p) for p in parts[1:]])
+        word = parts[0].lower()
+        if vocab is not None and word not in vocab:
+            continue
+        try:
+            vector = [float(p) for p in parts[1:]]
+        except ValueError as exc:
+            return f"line {line_no}: non-numeric component ({exc})"
+        if not all(map(math.isfinite, vector)):
+            return f"line {line_no}: non-finite component"
+        vectors.setdefault(word, vector)
     if header and int(first[0]) != len(data):
         return f"word2vec header declares {first[0]} words but file has {len(data)}"
     return vectors
@@ -444,7 +454,7 @@ def test_range_scan_gives_the_whole_file_position_of_bytes_not_utf8(tmp_path, pa
 
 @pytest.mark.parametrize("block_chars", [1, 4, 1 << 16])
 def test_blocks_end_every_line_with_a_newline(monkeypatch, block_chars):
-    # as a text-mode read does, so a CRLF table stays single-spaced
+    # as a text-mode read does, so a CRLF table's blocks can pass the block check
     monkeypatch.setattr(capsift.embeddings, "_BLOCK_CHARS", block_chars)
     data = b"a 1\r\nb 2\rc 3\n\r\nd 4\r"
     blocks = list(_blocks(io.BytesIO(data), math.inf))
@@ -485,6 +495,120 @@ def test_the_first_of_bad_bytes_and_a_malformed_line_is_reported(
             ranged_outcome(path, vocab, parts) for parts in RANGE_COUNTS for vocab in (None, {"a"})]
         for outcome in outcomes:
             assert outcome.startswith(expected_here), outcome
+
+
+# --- the block check ------------------------------------------------------------
+# A restricted scan checks each block's line shape at once; a block that
+# passes is split into lines and only the lines whose word is in use are
+# split further. Any other block takes the per-line loop.
+
+_LINE_CHANGES = ["none", "non-numeric", "non-finite", "count", "space", "tab", "nbsp",
+                 "non-ascii word", "no final newline"]
+
+
+@st.composite
+def uniform_tables(draw):
+    """The text of a table of well-formed lines of 1-4 components, with at
+    most one line changed, and an optional word2vec header. An inserted
+    space goes next to another space or at either end of the line; a tab
+    or an NBSP goes anywhere. Each of the three, like a wrong count, may
+    come with a component dropped, which for a space leaves the line's
+    space count right."""
+    dim = draw(st.integers(1, 4))
+    lines = [[draw(st.sampled_from(["a", "b", "c", "A"]))]
+             + [draw(st.sampled_from(["1", "-2.5", "3e2", "0.125"])) for _ in range(dim)]
+             for _ in range(draw(st.integers(1, 30)))]
+    change = draw(st.sampled_from(_LINE_CHANGES))
+    at = draw(st.integers(0, len(lines) - 1))
+    tokens = lines[at]
+    col = draw(st.integers(1, dim))
+    if change in ("count", "space", "tab", "nbsp") and draw(st.booleans()):
+        tokens.pop()
+    elif change == "count":
+        tokens.append("2")
+    elif change == "non-numeric":
+        tokens[col] = "1x"
+    elif change == "non-finite":
+        tokens[col] = draw(st.sampled_from(["inf", "-inf", "nan"]))
+    elif change == "non-ascii word":
+        tokens[0] = "Café"
+    text = [" ".join(tokens) for tokens in lines]
+    line = text[at]
+    if change == "space":
+        cut = draw(st.sampled_from([0, len(line)] + [i for i, c in enumerate(line) if c == " "]))
+        text[at] = line[:cut] + " " + line[cut:]
+    elif change in ("tab", "nbsp"):
+        cut = draw(st.integers(0, len(line)))
+        text[at] = line[:cut] + {"tab": "\t", "nbsp": "\xa0"}[change] + line[cut:]
+    header = f"{len(lines)} {dim}\n" if draw(st.booleans()) else ""
+    return header + "\n".join(text) + ("" if change == "no final newline" else "\n")
+
+
+@given(uniform_tables(), st.sets(st.sampled_from(["a", "b", "café", "x"])))
+def test_block_check_keeps_the_restricted_parse_exact(text, vocab):
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        path = Path(tmp) / "emb.txt"
+        path.write_text(text, encoding="utf-8")
+        expected = reference_outcome(path, vocab)
+        # one line per block, a few lines per block, and the whole table in one
+        for block_chars in (1, 64, 1 << 16):
+            mp.setattr(capsift.embeddings, "_BLOCK_CHARS", block_chars)
+            assert parse_outcome(path, vocab) == expected
+            serial = serial_outcome(path, vocab)
+            for parts in RANGE_COUNTS:
+                assert ranged_outcome(path, vocab, parts) == serial, (block_chars, parts)
+
+
+@pytest.mark.parametrize("block, dim, uniform", [
+    ("w 1 2\nCafé 3 4\n", 2, True),
+    ("w 1 2\nx", 2, False),       # no final newline
+    ("w  1\n", 2, False),          # two spaces, one component
+    (" w 1\n", 2, False),
+    ("w 1 \n", 2, False),
+    ("w 1\n\nx 2\n", 1, False),   # an empty line
+    ("w 1 2 3\nx 1\n", 2, False),  # three and one spaces: the right total
+    ("w 1 2\t3\n", 2, False),      # two spaces, three components
+    ("w 1 2\x1f3\n", 2, False),
+    ("w 1 2\xa03\n", 2, False),
+    ("w 1 2\u30003\n", 2, False),
+    ("w 1 2\u20283 4\n", 2, False),  # splitlines() ends a line at U+2028
+])
+def test_block_check_fails_any_other_line_shape(block, dim, uniform):
+    assert capsift.embeddings._uniform(block, dim) is uniform
+
+
+def test_block_check_passes_uniform_blocks_and_fails_a_tab(tmp_path, monkeypatch):
+    monkeypatch.setattr(capsift.embeddings, "_BLOCK_CHARS", 64)
+    uniform = capsift.embeddings._uniform
+    checked = []
+
+    def spy(block, dim):
+        checked.append((block, uniform(block, dim)))
+        return checked[-1][1]
+
+    monkeypatch.setattr(capsift.embeddings, "_uniform", spy)
+    lines = numbered_lines(40)
+    lines[12] = "Café 1.5 2.5"
+    lines[30] = "w30\t30.0 30.1"
+    path = write(tmp_path, "\n".join(lines) + "\n")
+    vocab = {"café", "w3", "w35"}
+    assert parse_outcome(path, vocab) == reference_outcome(path, vocab) == {
+        "w3": [3.0, 3.1], "café": [1.5, 2.5], "w35": [35.0, 35.1]}
+    by_kind = {}
+    for block, passed in checked:
+        kind = "tab" if "\t" in block else "non-ascii" if "é" in block else "ascii"
+        by_kind.setdefault(kind, set()).add(passed)
+    assert by_kind == {"ascii": {True}, "non-ascii": {True}, "tab": {False}}
+
+
+def test_restricted_parse_memory_stays_flat_as_the_table_grows(tmp_path):
+    # The table is read a block at a time and only kept rows are stored, so
+    # a 4x larger table must not raise the peak by anything near its size.
+    peaks = []
+    for n in (40_000, 150_000):  # about 2 MB and 8 MB
+        path = write(tmp_path, "\n".join(numbered_lines(n, dim=6)) + "\n", f"t{n}.txt")
+        peaks.append(traced_peak(lambda: parse_embedding_file(path, vocab={"w7"})))
+    assert peaks[1] - peaks[0] < 1 << 20, peaks
 
 
 # --- caption vectorization -------------------------------------------------

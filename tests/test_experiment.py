@@ -921,12 +921,12 @@ def test_pool_scans_split_tables_in_workers_to_the_serial_result(
         (False, False)]
 
 
-def _malformed_table_config(tmp_path) -> Path:
-    """The fixture config with a copy of its GloVe table whose last line
-    has one component too few."""
+def _malformed_table_config(tmp_path, last_line="broken 1.0 2.0") -> Path:
+    """The fixture config with a copy of its GloVe table that ends with
+    ``last_line``, by default a line with one component too few."""
     table = tmp_path / "toy16_bad.txt"
     text = (FIXTURES / "embeddings" / "toy16_glove.txt").read_text(encoding="utf-8")
-    table.write_text(text + "broken 1.0 2.0\n", encoding="utf-8")
+    table.write_text(text + last_line + "\n", encoding="utf-8")
     config = tmp_path / "bad.cfg"
     config.write_text(f"manifest = {FIXTURES / 'manifest.csv'}\n"
                       f"captions_root = {FIXTURES}\n"
@@ -959,6 +959,31 @@ def test_pool_reports_a_malformed_table_as_a_serial_run_does(tmp_path, monkeypat
     pooled = capsys.readouterr()
     assert pooled.err == serial.err == f"error: {messages[0]}\n"
     assert pooled.out == serial.out == ""
+
+
+def test_pool_numbers_a_non_numeric_kept_line_as_a_serial_run_does(tmp_path, monkeypatch):
+    # "hoax" is in use, so its repeated line is converted; every line of its
+    # block has the table's shape, so the block check passes it
+    config = load_config(_malformed_table_config(tmp_path, "hoax " + "0.5 " * 15 + "x"))
+    monkeypatch.setattr(capsift.embeddings, "_BLOCK_CHARS", 1024)
+    uniform = capsift.embeddings._uniform
+    passed = []
+
+    def spy(block, dim):
+        result = uniform(block, dim)
+        passed.append(result and "x\n" in block)
+        return result
+
+    monkeypatch.setattr(capsift.embeddings, "_uniform", spy)
+    messages = []
+    for workers in (1, 2):
+        with pytest.raises(EmbeddingFormatError) as err:
+            run_experiment(config, workers=workers)
+        messages.append(str(err.value))
+    lines = (FIXTURES / "embeddings" / "toy16_glove.txt").read_text(encoding="utf-8").count("\n")
+    assert messages == [f"line {lines + 1}: non-numeric component "
+                        "(could not convert string to float: 'x')"] * 2
+    assert any(passed)  # in the serial run's own process
 
 
 def test_pool_fails_the_run_when_a_worker_dies_in_the_parse(
