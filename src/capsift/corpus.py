@@ -1,16 +1,23 @@
 """Caption corpus ingestion: manifest loading, text cleanup, filtering, stats.
 
 The corpus is described by a CSV manifest (one row per video) plus one plain
-UTF-8 text file per caption. Preprocessing reduces each caption to lowercase
-alphabetic tokens with stopwords removed; filtering drops captions that are
-too short or unlikely to be English.
+UTF-8 text file per caption, read as text (a CRLF line end is one
+character); a caption path that names no regular file, a directory
+included, is a missing caption. Preprocessing reduces each caption to
+lowercase ASCII-letter tokens with stopwords removed: every other
+character, accented letters included, separates words. It runs as one
+``bytes.translate`` over the caption's UTF-8 bytes. Filtering drops
+captions that are too short or unlikely to be English.
 """
 
 from __future__ import annotations
 
 import csv
+import errno
 import io
-import re
+import itertools
+import os
+import stat
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from importlib import resources
@@ -28,7 +35,15 @@ MANIFEST_HEADER = [
 
 COUNT_FIELDS = ("views", "likes", "dislikes", "comments")
 
-_NON_ALPHA = re.compile(r"[^A-Za-z]+")
+# Byte tables for a caption's UTF-8 bytes: ASCII letters are kept (or
+# lowercased), every other byte becomes a space. Each byte of a non-ASCII
+# character, a lone surrogate's included, is at least 0x80, so every
+# non-ASCII character separates words.
+_LETTERS = bytes(b if chr(b).isascii() and chr(b).isalpha() else 0x20 for b in range(256))
+_LOWER_LETTERS = _LETTERS.lower()
+
+# The errors for which ``Path.is_file`` answers False instead of raising
+_NOT_A_FILE = (errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP)
 
 
 class CorpusError(Exception):
@@ -172,38 +187,61 @@ def load_manifest(path: str | Path) -> list[VideoRecord]:
 def load_caption(record: VideoRecord, captions_root: str | Path) -> str | None:
     """Return the caption file content, or None when the file is missing.
 
-    A missing file is a skip, not an error; invalid UTF-8 raises CorpusError
-    naming the file.
+    The path is ``captions_root`` and the record's caption path joined as
+    given. Missing means what ``Path.is_file`` answers False for: nothing
+    there, a path through a non-directory, a symlink loop, or something
+    other than a regular file (a directory, a FIFO). A missing file is a
+    skip, not an error; any other OSError (say, no permission) raises. The
+    file is read as text, so a CRLF or a lone CR line end becomes one
+    newline character. Invalid UTF-8 raises CorpusError naming the file.
     """
-    path = Path(captions_root) / record.caption_path
-    if not path.is_file():
+    path = os.path.join(captions_root, record.caption_path)
+    try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            return None
+    except OSError as exc:
+        if exc.errno in _NOT_A_FILE:
+            return None
+        raise
+    except ValueError:  # a NUL in the path
         return None
     try:
-        return path.read_text("utf-8")
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
     except UnicodeDecodeError as exc:
         raise CorpusError(f"caption file is not valid UTF-8: {path} ({exc})") from None
+
+
+def _clean(raw: str, table: bytes) -> str:
+    return raw.encode("utf-8", "surrogatepass").translate(table).decode("ascii")
+
+
+def _tokenize(raw: str, stopwords: frozenset[str]) -> tuple[tuple[str, ...], float]:
+    """The caption's lowercased words minus stopwords, in order, and the
+    share of stopwords among all its words (0.0 when it has none)."""
+    if not stopwords:
+        raise ValueError("stopword set must be nonempty")
+    words = _clean(raw, _LOWER_LETTERS).split()
+    tokens = tuple(itertools.filterfalse(stopwords.__contains__, words))
+    ratio = (len(words) - len(tokens)) / len(words) if words else 0.0
+    return tokens, ratio
 
 
 def preprocess_caption(raw: str, stopwords: frozenset[str]) -> tuple[str, tuple[str, ...], float]:
     """Clean a raw caption and tokenize it.
 
-    Every non-alphabetic character becomes a space and runs of spaces are
-    collapsed, so the cleaned text is alphabetic words separated by single
+    Every character other than an ASCII letter (accented letters, digits,
+    punctuation, any whitespace) becomes a space and runs of spaces are
+    collapsed, so the cleaned text is ASCII words separated by single
     spaces. Tokens are the lowercased words minus stopwords, in original
     order. Returns (cleaned_text, tokens, stopword_ratio).
     """
-    if not stopwords:
-        raise ValueError("stopword set must be nonempty")
-    cleaned = _NON_ALPHA.sub(" ", raw).strip()
-    words = cleaned.lower().split()
-    tokens = tuple(w for w in words if w not in stopwords)
-    hits = len(words) - len(tokens)
-    ratio = hits / len(words) if words else 0.0
-    return cleaned, tokens, ratio
+    tokens, ratio = _tokenize(raw, stopwords)
+    return " ".join(_clean(raw, _LETTERS).split()), tokens, ratio
 
 
 def make_document(record: VideoRecord, raw: str, stopwords: frozenset[str]) -> CaptionDocument:
-    _, tokens, ratio = preprocess_caption(raw, stopwords)
+    tokens, ratio = _tokenize(raw, stopwords)
     return CaptionDocument(
         record=record,
         tokens=tokens,

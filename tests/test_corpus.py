@@ -1,5 +1,9 @@
 """Manifest parsing, caption preprocessing, and corpus filtering."""
 
+import errno
+import faulthandler
+import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +108,15 @@ def oracle_tokens(raw: str, stopwords) -> list[str]:
     return [t for t in words if t not in stopwords]
 
 
+def _assert_matches_oracle(raw):
+    cleaned, tokens, ratio = preprocess_caption(raw, STOPWORDS)
+    assert cleaned == oracle_clean(raw)
+    assert list(tokens) == oracle_tokens(raw, STOPWORDS)
+    all_words = oracle_clean(raw).lower().split()
+    stop_hits = sum(1 for t in all_words if t in STOPWORDS)
+    assert ratio == (stop_hits / len(all_words) if all_words else 0.0)
+
+
 def test_preprocess_matches_character_walk_oracle():
     rng = np.random.Generator(np.random.PCG64(99))
     pieces = []
@@ -111,13 +124,35 @@ def test_preprocess_matches_character_walk_oracle():
              "hoax?", "déjà", "(fact)", "check,", "and", "OF", "a"]
     for _ in range(300):
         pieces.append(vocab[rng.integers(len(vocab))])
-    raw = " ".join(pieces)
-    cleaned, tokens, ratio = preprocess_caption(raw, STOPWORDS)
-    assert cleaned == oracle_clean(raw)
-    assert list(tokens) == oracle_tokens(raw, STOPWORDS)
-    all_words = oracle_clean(raw).lower().split()
-    stop_hits = sum(1 for t in all_words if t in STOPWORDS)
-    assert ratio == pytest.approx(stop_hits / len(all_words))
+    _assert_matches_oracle(" ".join(pieces))
+
+
+# any code point, lone surrogates included, which ``st.text()`` never draws
+_ANY_CHARACTER = st.one_of(st.characters(), st.integers(0xD800, 0xDFFF).map(chr))
+
+
+@given(st.text(_ANY_CHARACTER, max_size=400))
+def test_preprocess_matches_character_walk_oracle_on_any_text(raw):
+    _assert_matches_oracle(raw)
+
+
+@pytest.mark.parametrize("raw, cleaned", [
+    ("moon\ud800rocket", "moon rocket"),  # a lone surrogate separates words
+    ("\udcff", ""),
+    ("The \ud83d\ude00 moon", "The moon"),  # a surrogate pair, as two code points
+    ("İstanbul", "stanbul"),  # lowercases to two characters: i and a combining dot
+    ("Straße", "Stra e"),  # uppercases to two characters
+    ("Ａpollo", "pollo"),  # a fullwidth letter lowercases to a fullwidth letter
+    ("déjà vu", "d j vu"),
+    ("\u212Aelvin", "elvin"),  # the Kelvin sign lowercases to an ASCII k
+    ("moon\u00a0landing\u2028is\u3000real", "moon landing is real"),
+    ("42x the 3rd x42 4x2", "x the rd x x"),  # digits separate words
+])
+def test_preprocess_keeps_ascii_letters_only(raw, cleaned):
+    assert oracle_clean(raw) == cleaned
+    assert oracle_tokens(raw, STOPWORDS) == [w for w in cleaned.lower().split()
+                                             if w not in STOPWORDS]
+    _assert_matches_oracle(raw)
 
 
 def test_preprocess_examples():
@@ -206,6 +241,77 @@ def test_load_corpus_rejects_bad_utf8(tmp_path):
     (tmp_path / "bad.txt").write_bytes(b"\xff\xfe broken")
     with pytest.raises(CorpusError, match="bad"):
         load_corpus([record("bad")], tmp_path, STOPWORDS)
+
+
+def test_load_corpus_names_the_whole_path_of_a_bad_caption(tmp_path):
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "bad.txt").write_bytes(b"moon \xff landing")
+    bad = replace(record("bad"), caption_path="sub/bad.txt")
+    with pytest.raises(CorpusError) as err:
+        load_corpus([bad], tmp_path, STOPWORDS)
+    assert str(err.value).startswith(
+        f"caption file is not valid UTF-8: {tmp_path / 'sub' / 'bad.txt'} (")
+
+
+def _missing(tmp_path, caption_path):
+    docs, skipped = load_corpus([replace(record("x"), caption_path=caption_path)],
+                                tmp_path, STOPWORDS)
+    assert docs == []
+    assert [(e.video_id, e.stage, e.reason) for e in skipped] == [
+        ("x", "load", f"caption file missing: {caption_path}")]
+
+
+@pytest.mark.parametrize("caption_path", ["dir.txt", "ok.txt/x.txt", "loop.txt", "x\0.txt"],
+                         ids=["directory", "through-a-file", "symlink-loop", "nul"])
+def test_load_corpus_skips_a_caption_path_that_names_no_file(tmp_path, caption_path):
+    (tmp_path / "dir.txt").mkdir()
+    (tmp_path / "ok.txt").write_text(caption_text(150, 0.3), encoding="utf-8")
+    (tmp_path / "loop.txt").symlink_to("loop.txt")
+    _missing(tmp_path, caption_path)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_load_corpus_skips_a_fifo_at_the_caption_path(tmp_path):
+    os.mkfifo(tmp_path / "x.txt")
+    faulthandler.dump_traceback_later(60, exit=True)  # opening the FIFO would block
+    try:
+        _missing(tmp_path, "x.txt")
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+
+
+def test_load_corpus_raises_other_os_errors(tmp_path, monkeypatch):
+    (tmp_path / "x.txt").write_text(caption_text(150, 0.3), encoding="utf-8")
+
+    def stat(path, *args, **kwargs):
+        raise PermissionError(errno.EACCES, "Permission denied", str(path))
+
+    monkeypatch.setattr(os, "stat", stat)
+    with pytest.raises(PermissionError):
+        load_corpus([record("x")], tmp_path, STOPWORDS)
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_load_corpus_reads_crlf_and_cr_captions_as_lf(tmp_path, newline):
+    text = "\n".join(["The moon landing was REAL"] * 30 + ["it's a fact!", ""])
+    (tmp_path / "lf.txt").write_bytes(text.encode())
+    (tmp_path / "other.txt").write_bytes(text.replace("\n", newline).encode())
+    docs, _ = load_corpus([record("lf"), record("other")], tmp_path, STOPWORDS)
+    lf, other = docs
+    assert replace(other, record=lf.record) == lf
+    assert lf.raw_char_count == len(text)
+
+
+def test_load_corpus_counts_crlf_as_one_character(tmp_path):
+    # 499 characters with LF ends: one short of the length rule however its
+    # lines end, though CRLF would add a character per line end
+    text = "\n".join(["the rocket went to the moon"] * 20)[:MIN_CAPTION_CHARS - 1]
+    assert len(text) == MIN_CAPTION_CHARS - 1 and text.count("\n") >= 2
+    (tmp_path / "crlf.txt").write_bytes(text.replace("\n", "\r\n").encode())
+    docs, _ = load_corpus([record("crlf")], tmp_path, STOPWORDS)
+    assert docs[0].raw_char_count == MIN_CAPTION_CHARS - 1
+    kept, rejected = filter_corpus(docs)
+    assert kept == [] and f"raw length {MIN_CAPTION_CHARS - 1}" in rejected[0].reason
 
 
 # --- descriptive stats -----------------------------------------------------
