@@ -4,6 +4,11 @@ Subcommands: ``run`` (full experiment from a config file), ``stats``
 (manifest engagement-count summaries), ``vectorize`` (caption-vector export).
 Exit codes: 0 success, 1 usage, config or input error, 2 partial run (some
 data-degenerate cells skipped).
+
+Run as ``python -m capsift.cli``, this module starts numpy through
+``capsift._startup.start_numpy`` before its pipeline imports do, as
+``python -m capsift`` and the ``capsift`` script (``capsift.__main__``) do
+first. The pipeline names stay module globals imported at load time.
 """
 
 from __future__ import annotations
@@ -12,9 +17,13 @@ import argparse
 import csv
 import dataclasses
 import functools
-import os
 import sys
 from pathlib import Path
+
+from ._startup import start_numpy, usable_cpus
+
+if __name__ == "__main__":  # python -m capsift.cli: before the imports below load numpy
+    start_numpy()
 
 from .corpus import CorpusError, descriptive_stats, load_corpus, load_manifest, load_stopwords
 from .embeddings import EmbeddingFormatError, parse_embedding_file, vectorize_caption
@@ -52,13 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
     vec.add_argument("--manifest", required=True, help="manifest naming the videos to export")
     vec.add_argument("--out", required=True, help="output CSV path")
     return parser
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))  # the CPUs taskset or a cpuset leaves
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def _cmd_run(args, workers: int) -> int:
@@ -125,7 +127,7 @@ def main(argv=None) -> int:
     """Run one subcommand. Only the process's own command line (``argv``
     None) spreads ``run`` over the usable CPUs; a caller that passes
     ``argv`` keeps every call in its own process."""
-    workers = _usable_cpus() if argv is None else 1
+    workers = usable_cpus() if argv is None else 1
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error

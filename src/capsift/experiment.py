@@ -27,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._startup import can_fork
 from .classifiers import ALGORITHMS, DUMMY, AlgorithmSpec, train
 from .corpus import (
     CaptionDocument,
@@ -252,7 +253,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
     embeddings: list[tuple[str, Path]] = []
     hyperparams: dict[str, dict[str, float]] = {}
     key_lines: dict[str, int] = {}
-    for line_no, raw_line in enumerate(text.splitlines(), start=1):
+    # text mode made CRLF and CR "\n"; splitlines would also break lines at
+    # form feeds, U+2028 and the like, which may sit in a comment or a path
+    for line_no, raw_line in enumerate(text.split("\n"), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue
@@ -547,20 +550,23 @@ def _openblas_threads():
 @contextlib.contextmanager
 def _one_blas_thread():
     """Run the body with OpenBLAS on one thread, then restore its count;
-    does nothing where ``_openblas_threads`` finds no OpenBLAS.
+    does nothing where ``_openblas_threads`` finds no OpenBLAS, or where
+    OpenBLAS is on one thread already.
 
     Entered once before the first fork, so forked workers inherit the
     count of 1 and never start OpenBLAS's own threads, which would compete
     with the other workers for the cores (and busy-wait after each call).
     Setting the count after a fork restarts those threads, so the workers
-    never call the setter.
+    never call the setter. The command line imports numpy with OpenBLAS on
+    one thread when it will pool (``capsift._startup``), so there this
+    calls no setter at all, and no restore starts threads on the way out.
     """
     blas = _openblas_threads()
-    if blas is None:
+    threads = None if blas is None else blas[0]()
+    if threads in (None, 1):  # no OpenBLAS, or nothing to pin
         yield
         return
-    get_threads, set_threads = blas
-    threads = get_threads()
+    set_threads = blas[1]
     set_threads(1)
     try:
         yield
@@ -586,8 +592,10 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
     jobs, the work stays in this process. On that pooled path, from before
     the first pool forks until the cell map returns, numpy's bundled
     OpenBLAS runs on one thread in every process, and the caller's thread
-    count is restored afterwards, also when the run raises. A serial run
-    keeps BLAS's default threads, and under another BLAS nothing is pinned.
+    count is restored afterwards, also when the run raises; a caller already
+    on one thread (the command line's pooled run) is left alone. A serial
+    run keeps BLAS's default threads, and under another BLAS nothing is
+    pinned.
     """
     if not _is_int(workers) or workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
@@ -599,11 +607,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
         config = replace(config, topics=tuple(sorted({r.topic.value for r in records})))
     loaded = [load_topic(t, records, config.captions_root, stopwords) for t in config.topics]
     vocab = {token for kept, _, _ in loaded for doc in kept for token in doc.tokens}
-    if workers > 1:
-        import multiprocessing  # here, so a serial run and its load prefix never pay for it
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            workers = 1
+    if workers > 1 and not can_fork():
+        workers = 1
     names, paths = zip(*config.embeddings)
     with _one_blas_thread() if workers > 1 else contextlib.nullcontext():
         if workers > 1:

@@ -363,6 +363,23 @@ def test_load_config_skips_a_byte_order_mark(tmp_path):
     assert load_config(tmp_path / "bom.cfg") == load_config(tmp_path / "plain.cfg")
 
 
+def test_load_config_keeps_a_form_feed_inside_a_comment(tmp_path):
+    original = (FIXTURES / "experiment.cfg").read_text(encoding="utf-8")
+    (tmp_path / "plain.cfg").write_text(original, encoding="utf-8")
+    (tmp_path / "paged.cfg").write_text("# note\x0c page two\n" + original, encoding="utf-8")
+    assert load_config(tmp_path / "paged.cfg") == load_config(tmp_path / "plain.cfg")
+
+
+def test_load_config_keeps_a_line_separator_inside_a_path(tmp_path):
+    body = "manifest = m.csv\nembedding.e = tables/e\u2028v2.txt\n"
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(body, encoding="utf-8")
+    assert load_config(cfg_path).embeddings == (("e", tmp_path / "tables" / "e\u2028v2.txt"),)
+    cfg_path.write_text(body + "smote_k = 0\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=re.escape("exp.cfg: line 3: smote_k must be >= 1")):
+        load_config(cfg_path)
+
+
 def test_one_fingerprint_per_config_file_and_every_echo_loads_back(
         fixture_run, monkeypatch, tmp_path):
     configs = [load_config(FIXTURES / "experiment.cfg")]
@@ -802,6 +819,39 @@ def test_pool_runs_blas_on_one_thread_and_restores_the_count(
         assert len(_pids(log)) == 56 and os.getpid() not in _pids(log)
         assert set_log.read_text(encoding="utf-8") == f"{os.getpid()} 1\n{os.getpid()} 2\n"
     assert _blas_threads() == 2
+
+
+@pytest.fixture
+def blas_at_one_thread():
+    """Set the bundled OpenBLAS to 1 thread for the test, as the command line
+    starts it for a pooled run; restore its count after."""
+    get_threads, set_threads = _BLAS
+    threads = get_threads()
+    set_threads(1)
+    yield
+    set_threads(threads)
+
+
+@needs_openblas
+def test_pool_started_on_one_blas_thread_calls_no_setter(
+        fixture_config, monkeypatch, tmp_path, blas_at_one_thread):
+    get_threads, set_threads = _BLAS
+    set_log = tmp_path / "set.log"
+    set_log.touch()
+
+    def logged_set(threads):
+        with set_log.open("a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {threads}\n")
+        set_threads(threads)
+
+    monkeypatch.setattr(capsift.experiment, "_openblas_threads",
+                        lambda: (get_threads, logged_set))
+    log = _spy_on_train(monkeypatch, tmp_path / "train.log")
+    run_experiment(fixture_config, workers=2)
+    assert _train_calls(log) == [(pid, 1) for pid in _pids(log)]
+    assert len(_pids(log)) == 56 and os.getpid() not in _pids(log)
+    assert set_log.read_text(encoding="utf-8") == ""
+    assert _blas_threads() == 1
 
 
 def _no_library(path):
@@ -1258,24 +1308,42 @@ def test_cli_run_empty_out_is_an_error(monkeypatch, capsys):
         assert captured.err.startswith("error: --out: names no directory")
 
 
-def test_python_m_capsift_runs_the_cli():
+@pytest.mark.parametrize("module", ["capsift", "capsift.cli"])
+def test_python_m_capsift_runs_the_cli(module):
     src = Path(capsift.cli.__file__).parents[1]
     paths = [str(src), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    done = subprocess.run([sys.executable, "-m", "capsift", "run", "--help"],
+    done = subprocess.run([sys.executable, "-m", module, "run", "--help"],
                           capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: capsift run")
 
 
-def test_python_m_capsift_run_writes_the_pinned_outputs_without_warnings(tmp_path):
+def test_the_capsift_script_target_runs_the_cli():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).parents[1]
+    with (root / "pyproject.toml").open("rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["capsift"]
+    module, _, name = target.partition(":")
+    paths = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    # what an installed script runs: import the target, exit with its return
+    done = subprocess.run(
+        [sys.executable, "-c", f"import sys; from {module} import {name}; sys.exit({name}())",
+         "--help"], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: capsift")
+
+
+@pytest.mark.parametrize("module", ["capsift", "capsift.cli"])
+def test_python_m_capsift_run_writes_the_pinned_outputs_without_warnings(module, tmp_path):
     # Run as its own process, capsift spreads the fixture's 8 cell jobs over
     # the usable CPUs; -W error makes any warning there fail the run.
     root = Path(__file__).parents[1]
     paths = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     done = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "capsift", "run",
+        [sys.executable, "-W", "error", "-m", module, "run",
          "--config", "tests/fixtures/experiment.cfg", "--out", str(tmp_path)],
         cwd=root, capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
