@@ -1,21 +1,19 @@
 """Process start-up for the command line, before anything imports numpy.
 
-numpy's bundled OpenBLAS starts its own threads when numpy is imported, and
-they busy-wait for a while after the import and after every change of the
-thread count. A pooled ``capsift run`` makes every BLAS call on one thread,
-so those threads only burn CPU. Only a thread count set in the environment
-before the import keeps them from starting; setting it afterwards restarts
-them. This module imports no numpy and keeps no state.
+This is the one place that decides BLAS's thread count. A pooled
+``capsift run`` does its BLAS work in forked workers, one per usable CPU,
+so OpenBLAS's own threads would only compete with them for the cores, and
+they busy-wait for a while after numpy's import and after every change of
+the thread count. OpenBLAS reads its thread count once, when numpy is
+imported, so the command line imports numpy with one thread when it can
+pool, and nothing changes the count afterwards. This module imports no
+numpy and keeps no state.
 """
 
 from __future__ import annotations
 
 import os
 import sys
-
-# The variables OpenBLAS reads its thread count from when it starts; a value
-# the user set in any of them is left to decide.
-_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def usable_cpus() -> int:
@@ -35,19 +33,22 @@ def can_fork() -> bool:
 
 def start_numpy() -> None:
     """Import numpy with OpenBLAS on one thread when ``capsift run`` from
-    this command line will pool (more than one usable CPU and ``fork``),
-    so neither this process nor its forked workers start OpenBLAS's threads.
+    this command line can pool (more than one usable CPU and ``fork``), so
+    neither this process nor its forked workers start OpenBLAS's threads.
 
-    Does nothing once numpy is imported, or when the user's environment
-    sets any of OpenBLAS's thread variables. ``OPENBLAS_NUM_THREADS`` is
-    set only for the import, so ``os.environ`` afterwards is the user's.
+    Does nothing once numpy is imported. ``OPENBLAS_NUM_THREADS``, which
+    OpenBLAS reads before ``GOTO_NUM_THREADS`` and ``OMP_NUM_THREADS``, is
+    ``1`` only for the import; afterwards ``os.environ`` holds the user's
+    own value again, or no such variable.
     """
-    if "numpy" in sys.modules or any(name in os.environ for name in _BLAS_THREAD_VARIABLES):
+    if "numpy" in sys.modules or usable_cpus() < 2 or not can_fork():
         return
-    if usable_cpus() < 2 or not can_fork():
-        return
+    users = os.environ.get("OPENBLAS_NUM_THREADS")
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
         import numpy  # noqa: F401  OpenBLAS reads its thread count here
     finally:
-        del os.environ["OPENBLAS_NUM_THREADS"]
+        if users is None:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+        else:
+            os.environ["OPENBLAS_NUM_THREADS"] = users

@@ -11,6 +11,7 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 from types import MappingProxyType
 from typing import Callable, Mapping
 
@@ -85,12 +86,17 @@ class AlgorithmSpec:
     def __post_init__(self) -> None:
         if self.algorithm not in MODELS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
+        if not isinstance(self.hyperparams, Mapping):
+            raise ValueError(f"{self.algorithm} hyperparams must be a mapping, "
+                             f"got {self.hyperparams!r}")
         typed = dict(DEFAULT_HYPERPARAMS[self.algorithm])
         for key, value in self.hyperparams.items():
             if key not in typed:
                 raise ValueError(f"{self.algorithm} has no hyperparameter {key!r}")
             minimum, strict = _HYPERPARAM_RULES[key]
             integral = isinstance(DEFAULT_HYPERPARAMS[self.algorithm][key], int)
+            if not isinstance(value, Real):
+                raise ValueError(f"{self.algorithm}.{key} must be a number, got {value!r}")
             if not math.isfinite(value):
                 raise ValueError(f"{self.algorithm}.{key} must be finite, got {value!r}")
             if integral and int(value) != value:

@@ -123,9 +123,8 @@ def _blocks(fh, size):
     Every block but the last ends with "\n", and "\r\n" and "\r" become
     "\n" as in a text-mode read (so a CRLF table's blocks can pass
     ``_uniform``), and the blocks' ``splitlines()`` together are the whole
-    text's. Bytes
-    that are not UTF-8 raise UnicodeDecodeError once every whole line
-    before the line that holds them was yielded.
+    text's. Bytes that are not UTF-8 raise UnicodeDecodeError once every
+    whole line before the line that holds them was yielded.
     """
     pending: list[bytes] = []
     while size > 0 and (chunk := fh.read(min(_BLOCK_CHARS, size))):

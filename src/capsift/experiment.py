@@ -13,9 +13,7 @@ output.
 
 from __future__ import annotations
 
-import contextlib
 import csv
-import ctypes
 import functools
 import hashlib
 import itertools
@@ -126,6 +124,10 @@ class ExperimentConfig:
             raise ConfigError(f"test_fraction must be a number, got {self.test_fraction!r}")
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
+        for entry in self.embeddings:
+            if not (isinstance(entry, (tuple, list)) and len(entry) == 2
+                    and isinstance(entry[0], str) and isinstance(entry[1], (str, os.PathLike))):
+                raise ConfigError(f"embeddings entries must be (name, path) pairs, got {entry!r}")
         if not 1 <= len(self.embeddings) <= MAX_EMBEDDINGS:
             raise ConfigError(f"need 1..{MAX_EMBEDDINGS} embeddings, got {len(self.embeddings)}")
         names = [name for name, _ in self.embeddings]
@@ -529,51 +531,6 @@ def _fork_map(fn, jobs: list, workers: int) -> list:
         return list(executor.map(_run_job, range(len(jobs))))
 
 
-def _openblas_threads():
-    """The (get, set) thread-count functions of the OpenBLAS bundled with
-    numpy's wheel, or None under another BLAS or build."""
-    try:
-        from numpy._core import _multiarray_umath
-
-        # dlsym on the extension's handle also searches the libraries it
-        # links, the bundled OpenBLAS among them
-        blas = ctypes.CDLL(_multiarray_umath.__file__)
-        get_threads = blas.scipy_openblas_get_num_threads64_
-        set_threads = blas.scipy_openblas_set_num_threads64_
-    except (ImportError, OSError, AttributeError):
-        return None
-    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-    return get_threads, set_threads
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the body with OpenBLAS on one thread, then restore its count;
-    does nothing where ``_openblas_threads`` finds no OpenBLAS, or where
-    OpenBLAS is on one thread already.
-
-    Entered once before the first fork, so forked workers inherit the
-    count of 1 and never start OpenBLAS's own threads, which would compete
-    with the other workers for the cores (and busy-wait after each call).
-    Setting the count after a fork restarts those threads, so the workers
-    never call the setter. The command line imports numpy with OpenBLAS on
-    one thread when it will pool (``capsift._startup``), so there this
-    calls no setter at all, and no restore starts threads on the way out.
-    """
-    blas = _openblas_threads()
-    threads = None if blas is None else blas[0]()
-    if threads in (None, 1):  # no OpenBLAS, or nothing to pin
-        yield
-        return
-    set_threads = blas[1]
-    set_threads(1)
-    try:
-        yield
-    finally:
-        set_threads(threads)
-
-
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
     """Run the full sweep described by the config.
 
@@ -589,13 +546,9 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
     of forked processes, and the cells run in another; both results are
     taken in file or job order, so the result, and the error raised, are
     the same at any worker count. Otherwise, and for a map of fewer than 2
-    jobs, the work stays in this process. On that pooled path, from before
-    the first pool forks until the cell map returns, numpy's bundled
-    OpenBLAS runs on one thread in every process, and the caller's thread
-    count is restored afterwards, also when the run raises; a caller already
-    on one thread (the command line's pooled run) is left alone. A serial
-    run keeps BLAS's default threads, and under another BLAS nothing is
-    pinned.
+    jobs, the work stays in this process. BLAS runs on the threads numpy
+    was started with, in the workers too; ``capsift._startup`` has the rule
+    the command line follows.
     """
     if not _is_int(workers) or workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
@@ -610,26 +563,25 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
     if workers > 1 and not can_fork():
         workers = 1
     names, paths = zip(*config.embeddings)
-    with _one_blas_thread() if workers > 1 else contextlib.nullcontext():
-        if workers > 1:
-            parsed = parse_embedding_files(
-                paths, vocab, workers, functools.partial(_fork_map, workers=workers))
-        else:
-            parsed = [parse_embedding_file(path, vocab=vocab) for path in paths]
+    if workers > 1:
+        parsed = parse_embedding_files(
+            paths, vocab, workers, functools.partial(_fork_map, workers=workers))
+    else:
+        parsed = [parse_embedding_file(path, vocab=vocab) for path in paths]
 
-        # Each topic, then each of its (topic, embedding) units, is replayed as
-        # (exclusions, skips, number of cell jobs), so exclusions.log stays in
-        # topic order and every skip follows those of the units before it.
-        jobs, replay = [], []
-        for topic, (kept, topic_exclusions, topic_skips) in zip(config.topics, loaded):
-            replay.append((topic_exclusions, topic_skips, 0))
-            for name, table in zip(names, parsed) if kept else ():
-                data, unit_exclusions, unit_skips = prepare_unit(config, topic, name, table, kept)
-                cells = [] if data is None else [
-                    (config, topic, task, name, *data) for task in config.tasks()]
-                replay.append((unit_exclusions, unit_skips, len(cells)))
-                jobs += cells
-        results = iter(_fork_map(run_cell, jobs, workers))
+    # Each topic, then each of its (topic, embedding) units, is replayed as
+    # (exclusions, skips, number of cell jobs), so exclusions.log stays in
+    # topic order and every skip follows those of the units before it.
+    jobs, replay = [], []
+    for topic, (kept, topic_exclusions, topic_skips) in zip(config.topics, loaded):
+        replay.append((topic_exclusions, topic_skips, 0))
+        for name, table in zip(names, parsed) if kept else ():
+            data, unit_exclusions, unit_skips = prepare_unit(config, topic, name, table, kept)
+            cells = [] if data is None else [
+                (config, topic, task, name, *data) for task in config.tasks()]
+            replay.append((unit_exclusions, unit_skips, len(cells)))
+            jobs += cells
+    results = iter(_fork_map(run_cell, jobs, workers))
     reports: list[EvaluationReport] = []
     exclusions: list[Exclusion] = []
     skipped: list[SkippedCell] = []

@@ -1,9 +1,11 @@
-"""Report- and table-building helpers, and a memory probe, shared by the
-test modules."""
+"""Report- and table-building helpers, a memory probe, and a handle on
+numpy's bundled OpenBLAS, shared by the test modules."""
 
+import ctypes
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from capsift.embeddings import GLOVE_TEXT, EmbeddingTable
 from capsift.metrics import TASK_BINARY, TASK_THREE_CLASS, EvaluationReport
@@ -31,3 +33,27 @@ def traced_peak(call) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def _openblas():
+    """The (get, set) thread-count functions of the OpenBLAS bundled with
+    numpy's wheel, or None under another BLAS or build."""
+    try:
+        from numpy._core import _multiarray_umath
+
+        # dlsym on the extension's handle also searches the libraries it
+        # links, the bundled OpenBLAS among them
+        blas = ctypes.CDLL(_multiarray_umath.__file__)
+        get_threads = blas.scipy_openblas_get_num_threads64_
+        set_threads = blas.scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    return get_threads, set_threads
+
+
+# Calling the setter starts OpenBLAS's threads, which then busy-wait for a
+# while, so only tests that pin the count themselves call it.
+OPENBLAS = _openblas()
+needs_openblas = pytest.mark.skipif(OPENBLAS is None, reason="numpy has no bundled OpenBLAS")

@@ -9,14 +9,12 @@ from pathlib import Path
 
 import pytest
 
+from helpers import needs_openblas
 import capsift
 import capsift.__main__
-import capsift.experiment
 
 ROOT = Path(__file__).parents[1]
 BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-needs_openblas = pytest.mark.skipif(capsift.experiment._openblas_threads() is None,
-                                    reason="numpy has no bundled OpenBLAS")
 # OpenBLAS caps a thread variable at the CPUs it finds
 needs_two_cpus = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="fewer than 2 CPUs")
 
@@ -63,17 +61,17 @@ def test_an_unknown_attribute_names_the_module():
 # Runs one command-line entry in a fresh interpreter and prints, as its last
 # stdout line, what the start-up did. An import hook records the value of
 # OPENBLAS_NUM_THREADS as numpy is first imported, and wraps
-# capsift.experiment._openblas_threads once that module is loaded, so every
-# OpenBLAS setter call of the run is logged. A module entry runs as
-# ``python -m`` runs it (runpy, run as __main__); "script" calls the
-# ``capsift`` script's target. The CPUS argument stands in for the number of
-# usable CPUs.
+# capsift.experiment.train once that module is loaded, so every call appends
+# its process id and OpenBLAS's thread count to the file LOG, in forked
+# workers too. A module entry runs as ``python -m`` runs it (runpy, run as
+# __main__); "script" calls the ``capsift`` script's target. The CPUS
+# argument stands in for the number of usable CPUs.
 _DRIVER = r"""
 import importlib.machinery, json, os, runpy, sys
 
-entry, cpus, *argv = sys.argv[1:]
+entry, cpus, log, *argv = sys.argv[1:]
 user_env = dict(os.environ)
-seen, sets = {}, []
+seen = {}
 
 
 class Watch:
@@ -87,21 +85,20 @@ class Watch:
 
         def exec_and_spy(module):
             exec_module(module)
-            real = module._openblas_threads
+            from helpers import OPENBLAS  # numpy is loaded by now
+            real_train = module.train
 
-            def spied():
-                get_threads, set_threads = real()
-
-                def logged_set(threads):
-                    sets.append(threads)
-                    set_threads(threads)
-                return get_threads, logged_set
-            module._openblas_threads = spied
+            def train(spec, features, labels):
+                with open(log, "a", encoding="utf-8") as fh:
+                    fh.write(f"{os.getpid()} {OPENBLAS[0]()}\n")
+                return real_train(spec, features, labels)
+            module.train = train
         spec.loader.exec_module = exec_and_spy
         return spec
 
 
 sys.meta_path.insert(0, Watch())
+sys.path.append(os.path.join(os.getcwd(), "tests"))
 os.sched_getaffinity = lambda pid: set(range(int(cpus)))
 sys.argv = ["capsift", *argv]
 try:
@@ -112,22 +109,29 @@ try:
         runpy.run_module(entry, run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
-import capsift.experiment
-print(json.dumps({"code": code, "numpy_env": seen.get("numpy_env"), "sets": sets,
-                  "threads": capsift.experiment._openblas_threads()[0](),
-                  "env_unchanged": dict(os.environ) == user_env}))
+from helpers import OPENBLAS
+print(json.dumps({"code": code, "pid": os.getpid(), "numpy_env": seen.get("numpy_env"),
+                  "threads": OPENBLAS[0](), "env_unchanged": dict(os.environ) == user_env}))
 """
 
 ENTRIES = ["capsift", "capsift.cli", "script"]
+EXPECTED_REPORTS = ROOT / "tests" / "fixtures" / "expected" / "reports.csv"
 
 
-def _start(entry: str, argv: list[str], cpus: str = "2", **variables) -> dict:
-    done = subprocess.run([sys.executable, "-c", _DRIVER, entry, cpus, *argv], cwd=ROOT,
-                          capture_output=True, text=True, env=_env(**variables), timeout=120)
+def _start(entry: str, argv: list[str], tmp_path: Path, cpus: str = "2", **variables) -> dict:
+    """What the driver printed, with "train": the (process id, thread
+    count) of every ``train`` call."""
+    log = tmp_path / "train.log"
+    log.touch()
+    done = subprocess.run([sys.executable, "-c", _DRIVER, entry, cpus, str(log), *argv],
+                          cwd=ROOT, capture_output=True, text=True, env=_env(**variables),
+                          timeout=120)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["code"] == 0, done.stderr
     assert result["env_unchanged"]
+    rows = [line.split() for line in log.read_text(encoding="utf-8").splitlines()]
+    result["train"] = [(int(pid), int(threads)) for pid, threads in rows]
     return result
 
 
@@ -139,43 +143,45 @@ def _run(out: Path) -> list[str]:
     return ["run", "--config", "tests/fixtures/experiment.cfg", "--out", str(out)]
 
 
+def _assert_pooled_on_one_thread(result: dict, out: Path) -> None:
+    assert result["numpy_env"] == "1"
+    assert result["threads"] == 1
+    assert len(result["train"]) == 56
+    assert all(pid != result["pid"] and threads == 1 for pid, threads in result["train"])
+    assert (out / "reports.csv").read_bytes() == EXPECTED_REPORTS.read_bytes()
+
+
 @needs_openblas
 @pytest.mark.parametrize("entry", ENTRIES)
 def test_a_pooling_entry_imports_numpy_on_one_blas_thread(entry, tmp_path):
-    result = _start(entry, _run(tmp_path))
-    assert result["numpy_env"] == "1"
-    assert result["threads"] == 1
-    assert result["sets"] == []  # the pool finds one thread: nothing to pin or restore
-    assert (tmp_path / "reports.csv").read_bytes() == (
-        ROOT / "tests" / "fixtures" / "expected" / "reports.csv").read_bytes()
+    result = _start(entry, _run(tmp_path / "out"), tmp_path)
+    _assert_pooled_on_one_thread(result, tmp_path / "out")
+
+
+@needs_openblas
+@pytest.mark.parametrize("variable", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_a_pool_overrides_the_users_blas_variable(entry, variable, tmp_path):
+    result = _start(entry, _run(tmp_path / "out"), tmp_path, **{variable: "2"})
+    _assert_pooled_on_one_thread(result, tmp_path / "out")  # _start checks os.environ
 
 
 @needs_openblas
 @needs_two_cpus
 @pytest.mark.parametrize("variable", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
 @pytest.mark.parametrize("entry", ENTRIES)
-def test_the_users_blas_variable_wins(entry, variable):
-    result = _start(entry, _stats(), **{variable: "2"})
+def test_the_users_blas_variable_wins(entry, variable, tmp_path):
+    # on one usable CPU nothing pools, so numpy starts as the user asked
+    result = _start(entry, _stats(), tmp_path, cpus="1", **{variable: "2"})
     assert result["numpy_env"] == (None if variable == "OMP_NUM_THREADS" else "2")
     assert result["threads"] == 2
-    assert result["sets"] == []
-
-
-@needs_openblas
-@needs_two_cpus
-@pytest.mark.parametrize("variable", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
-def test_under_the_users_blas_variable_the_pools_pin_and_restore(variable, tmp_path):
-    result = _start("capsift.cli", _run(tmp_path), **{variable: "2"})
-    assert result["sets"] == [1, 2]
-    assert result["threads"] == 2
 
 
 @needs_openblas
 @pytest.mark.parametrize("entry", ENTRIES)
-def test_one_usable_cpu_sets_nothing(entry):
-    result = _start(entry, _stats(), cpus="1")
+def test_one_usable_cpu_sets_nothing(entry, tmp_path):
+    result = _start(entry, _stats(), tmp_path, cpus="1")
     assert result["numpy_env"] is None
-    assert result["sets"] == []
 
 
 def test_main_in_process_with_numpy_loaded_leaves_the_environment(monkeypatch, capsys):
