@@ -53,7 +53,5 @@ def _openblas():
     return get_threads, set_threads
 
 
-# Calling the setter starts OpenBLAS's threads, which then busy-wait for a
-# while, so only tests that pin the count themselves call it.
 OPENBLAS = _openblas()
 needs_openblas = pytest.mark.skipif(OPENBLAS is None, reason="numpy has no bundled OpenBLAS")
