@@ -25,7 +25,7 @@ def usable_cpus() -> int:
 
 
 def can_fork() -> bool:
-    """Whether this platform offers the ``fork`` start method the pools use."""
+    """Whether this platform offers the ``fork`` start method the pool uses."""
     import multiprocessing  # here, so a caller that never pools never pays for it
 
     return "fork" in multiprocessing.get_all_start_methods()

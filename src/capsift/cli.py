@@ -8,8 +8,8 @@ data-degenerate cells skipped).
 Run as ``python -m capsift.cli``, this module starts numpy through
 ``capsift._startup.start_numpy`` before its pipeline imports do, as
 ``python -m capsift`` and the ``capsift`` script (``capsift.__main__``) do
-first; that start fixes BLAS's thread count for the whole run, pools
-included. The pipeline names stay module globals imported at load time.
+first; that start fixes BLAS's thread count for the whole run, its
+pool included. The pipeline names stay module globals imported at load time.
 """
 
 from __future__ import annotations

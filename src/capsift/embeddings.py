@@ -292,8 +292,13 @@ def _table(path: Path, scans: list[_Scan]) -> EmbeddingTable:
                           source_format=GLOVE_TEXT if header is None else WORD2VEC_TEXT)
 
 
+def _in_process(fn, jobs: list) -> list:
+    return [fn(*job) for job in jobs]
+
+
 def parse_embedding_file(
-    path: str | Path, vocab: Container[str] | None = None,
+    path: str | Path, vocab: Container[str] | None = None, parts: int = 1,
+    map_scans=_in_process,
 ) -> EmbeddingTable:
     """Parse a GloVe-text or word2vec-text embedding file.
 
@@ -315,9 +320,18 @@ def parse_embedding_file(
     fails is each line ``split()`` to find the malformed one. Of a
     malformed line and bytes that are not UTF-8, the first in the file is
     reported.
+
+    With ``parts`` > 1 the file is split into byte ranges (``_ranges``):
+    its first line, scanned here, then up to ``parts`` others, for which
+    ``map_scans(_scan, jobs)`` must return ``[_scan(*job) for job in jobs]``,
+    say from a pool. The table, and the error raised, do not depend on
+    ``parts``; at 1 the whole file is one range, scanned here.
     """
     path = Path(path)
-    return _table(path, [_scan(path, 0, None, vocab, None)])
+    (start, end), *rest = _ranges(path, parts) if parts > 1 else [(0, None)]
+    head = _scan(path, start, end, vocab, None)
+    jobs = [] if head.error else [(path, a, b, vocab, head.dim) for a, b in rest]
+    return _table(path, [head, *map_scans(_scan, jobs)])
 
 
 def _line_end(fh, pos: int) -> int:
@@ -347,27 +361,6 @@ def _ranges(path: Path, parts: int) -> list[tuple[int, int | None]]:
         return [(0, None)]
     bounds = [0, *sorted({head, size} | cuts)]
     return list(zip(bounds, bounds[1:]))
-
-
-def parse_embedding_files(
-    paths, vocab: Container[str] | None, parts: int, map_scans,
-) -> list[EmbeddingTable]:
-    """``[parse_embedding_file(path, vocab) for path in paths]``, computed in
-    byte ranges: each table is split after its first line into up to
-    ``parts`` ranges of whole lines (see ``_ranges``). This process scans
-    every first line, which sets the table's dimension, and then
-    ``map_scans(_scan, jobs)`` must return ``[_scan(*job) for job in jobs]``
-    for the other ranges of every table, say from a pool of processes. The
-    error raised is the one the serial parses would raise first."""
-    plans, jobs = [], []
-    for path in map(Path, paths):
-        (start, end), *rest = _ranges(path, parts)
-        head = _scan(path, start, end, vocab, None)
-        body = [] if head.error else [(path, a, b, vocab, head.dim) for a, b in rest]
-        plans.append((path, head, len(body)))
-        jobs += body
-    scans = iter(map_scans(_scan, jobs))
-    return [_table(path, [head, *(next(scans) for _ in range(n))]) for path, head, n in plans]
 
 
 def write_embedding_file(table: EmbeddingTable, path: str | Path) -> None:

@@ -7,14 +7,14 @@ stratified split, and for every (topic, task, embedding) cell it balances
 the training side, sweeps the classifier suite and collects evaluation
 reports; top-T embedding scores come from those. All randomness is derived
 from the master seed per cell, so reruns are byte-identical, and the table
-scans and the cells may run in pools of forked workers without changing any
-output.
+scans and the cells may run in one pool of forked workers without changing
+any output.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
-import functools
 import hashlib
 import itertools
 import math
@@ -36,9 +36,7 @@ from .corpus import (
     load_manifest,
     load_stopwords,
 )
-from .embeddings import (
-    EmbeddingTable, parse_embedding_file, parse_embedding_files, vectorize_caption,
-)
+from .embeddings import EmbeddingTable, parse_embedding_file, vectorize_caption
 from .metrics import (
     REPORT_CSV_HEADER,
     TASK_BINARY,
@@ -497,38 +495,40 @@ def run_cell(
     return reports, skipped
 
 
-# The (function, jobs) of a pool worker, set by its initializer. A pool
-# worker runs nothing else, and this process never sets it.
-_pool_work: tuple | None = None
+@contextlib.contextmanager
+def _fork_pool(workers: int):
+    """Yield ``fork_map(fn, jobs)`` = ``[fn(*job) for job in jobs]``, run
+    here for 1 worker or fewer than 2 jobs, else in one pool of forked
+    workers, started at the first such map with ``min(workers, len(jobs))``
+    workers and shut down when the block ends, on error too. ``fn`` (a
+    module-level function), jobs and results are pickled. A worker's
+    exception, or its death (BrokenProcessPool), is raised by the map."""
+    executor = None
 
+    def fork_map(fn, jobs: list) -> list:
+        nonlocal executor
+        if workers == 1 or len(jobs) < 2:
+            return [fn(*job) for job in jobs]
+        if executor is None:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
 
-def _start_worker(fn, jobs: list) -> None:
-    global _pool_work
-    _pool_work = (fn, jobs)
+            # The workers fork before this process's first split, and a
+            # split's or a cell's np.unique and random generator import
+            # numpy.ma and numpy.random on first use: import them here, once,
+            # not in every worker (about 17 ms of CPU each).
+            import numpy.ma  # noqa: F401
+            import numpy.random  # noqa: F401
 
+            executor = ProcessPoolExecutor(min(workers, len(jobs)),
+                                           multiprocessing.get_context("fork"))
+        return list(executor.map(fn, *zip(*jobs)))
 
-def _run_job(index: int):
-    fn, jobs = _pool_work
-    return fn(*jobs[index])
-
-
-def _fork_map(fn, jobs: list, workers: int) -> list:
-    """``[fn(*job) for job in jobs]``: in this process when ``workers`` is 1
-    or there are fewer than 2 jobs, else in a pool of
-    ``min(workers, len(jobs))`` forked workers. A worker's exception, or
-    its death (BrokenProcessPool), is raised here."""
-    if workers == 1 or len(jobs) < 2:
-        return [fn(*job) for job in jobs]
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # Forked workers inherit the caller's module state, and fn and the jobs
-    # through the initializer's arguments, so only job indices and results
-    # are pickled. With fork the pool starts every worker before it starts
-    # its own thread.
-    with ProcessPoolExecutor(min(workers, len(jobs)), multiprocessing.get_context("fork"),
-                             initializer=_start_worker, initargs=(fn, jobs)) as executor:
-        return list(executor.map(_run_job, range(len(jobs))))
+    try:
+        yield fork_map
+    finally:
+        if executor is not None:
+            executor.shutdown()
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
@@ -542,13 +542,13 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
     This process loads every topic, parses the tables, and vectorizes and
     splits every (topic, embedding) unit; the (topic, task, embedding) cells
     are then one list of ``run_cell`` jobs. With ``workers`` > 1 and a
-    ``fork`` start method, the tables are scanned in byte ranges by a pool
-    of forked processes, and the cells run in another; both results are
-    taken in file or job order, so the result, and the error raised, are
-    the same at any worker count. Otherwise, and for a map of fewer than 2
-    jobs, the work stays in this process. BLAS runs on the threads numpy
-    was started with, in the workers too; ``capsift._startup`` has the rule
-    the command line follows.
+    ``fork`` start method, one pool of forked processes (``_fork_pool``)
+    scans each table in up to ``workers`` byte ranges and then runs the
+    cells. Results are taken in file or job order, so the result, and the
+    error raised, are the same at any worker count. Otherwise, and for a
+    map of fewer than 2 jobs, the work stays in this process. BLAS runs on
+    the threads numpy was started with, in the workers too;
+    ``capsift._startup`` has the rule the command line follows.
     """
     if not _is_int(workers) or workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
@@ -562,26 +562,22 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
     vocab = {token for kept, _, _ in loaded for doc in kept for token in doc.tokens}
     if workers > 1 and not can_fork():
         workers = 1
-    names, paths = zip(*config.embeddings)
-    if workers > 1:
-        parsed = parse_embedding_files(
-            paths, vocab, workers, functools.partial(_fork_map, workers=workers))
-    else:
-        parsed = [parse_embedding_file(path, vocab=vocab) for path in paths]
-
     # Each topic, then each of its (topic, embedding) units, is replayed as
     # (exclusions, skips, number of cell jobs), so exclusions.log stays in
     # topic order and every skip follows those of the units before it.
     jobs, replay = [], []
-    for topic, (kept, topic_exclusions, topic_skips) in zip(config.topics, loaded):
-        replay.append((topic_exclusions, topic_skips, 0))
-        for name, table in zip(names, parsed) if kept else ():
-            data, unit_exclusions, unit_skips = prepare_unit(config, topic, name, table, kept)
-            cells = [] if data is None else [
-                (config, topic, task, name, *data) for task in config.tasks()]
-            replay.append((unit_exclusions, unit_skips, len(cells)))
-            jobs += cells
-    results = iter(_fork_map(run_cell, jobs, workers))
+    with _fork_pool(workers) as fork_map:
+        parsed = [parse_embedding_file(path, vocab, workers, fork_map)
+                  for _, path in config.embeddings]
+        for topic, (kept, topic_exclusions, topic_skips) in zip(config.topics, loaded):
+            replay.append((topic_exclusions, topic_skips, 0))
+            for (name, _), table in zip(config.embeddings, parsed) if kept else ():
+                data, unit_exclusions, unit_skips = prepare_unit(config, topic, name, table, kept)
+                cells = [] if data is None else [
+                    (config, topic, task, name, *data) for task in config.tasks()]
+                replay.append((unit_exclusions, unit_skips, len(cells)))
+                jobs += cells
+        results = iter(fork_map(run_cell, jobs))
     reports: list[EvaluationReport] = []
     exclusions: list[Exclusion] = []
     skipped: list[SkippedCell] = []

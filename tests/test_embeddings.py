@@ -21,7 +21,6 @@ from capsift.embeddings import (
     _blocks,
     _ranges,
     parse_embedding_file,
-    parse_embedding_files,
     vectorize_caption,
     write_embedding_file,
 )
@@ -322,8 +321,8 @@ def test_missing_file():
 
 
 # --- scanning in byte ranges ---------------------------------------------------
-# parse_embedding_files scans a table's ranges through the map it is given;
-# here that map runs them in this process.
+# parse_embedding_file(..., parts, map_scans) scans a table's ranges through
+# the map it is given; here that map runs them in this process.
 
 RANGE_COUNTS = [1, 2, 3, 7]
 
@@ -344,7 +343,7 @@ def table_outcome(parse):
 
 
 def ranged_outcome(path, vocab, parts):
-    return table_outcome(lambda: parse_embedding_files([path], vocab, parts, in_process)[0])
+    return table_outcome(lambda: parse_embedding_file(path, vocab, parts, in_process))
 
 
 def serial_outcome(path, vocab=None):
@@ -392,6 +391,31 @@ def test_ranges_cover_the_file_in_whole_lines(tmp_path, monkeypatch, parts):
     # a file smaller than one block is one range
     monkeypatch.setattr(capsift.embeddings, "_BLOCK_CHARS", len(data) + 1)
     assert _ranges(path, parts) == [(0, None)]
+
+
+def test_one_part_scans_the_whole_file_here_and_more_parts_map_the_ranges(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(capsift.embeddings, "_BLOCK_CHARS", 64)
+    path = write(tmp_path, "\n".join(numbered_lines(200)) + "\n")
+    scanned, mapped = [], []
+    real_scan = capsift.embeddings._scan
+
+    def scan(path, start, end, vocab, dim):
+        scanned.append((start, end))
+        return real_scan(path, start, end, vocab, dim)
+
+    def map_scans(fn, jobs):
+        mapped.append([(start, end) for _, start, end, _, _ in jobs])
+        return in_process(fn, jobs)
+
+    monkeypatch.setattr(capsift.embeddings, "_scan", scan)
+    one = parse_embedding_file(path, {"w3", "w150"}, 1, map_scans)
+    assert (scanned, mapped) == ([(0, None)], [[]])
+    scanned.clear(), mapped.clear()
+    three = parse_embedding_file(path, {"w3", "w150"}, 3, map_scans)
+    ranges = _ranges(path, 3)
+    assert (scanned, mapped) == (ranges, [ranges[1:]])
+    assert one.index == three.index and one.matrix.tobytes() == three.matrix.tobytes()
 
 
 @pytest.mark.parametrize("parts", RANGE_COUNTS)

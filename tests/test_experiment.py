@@ -1,5 +1,6 @@
 """Experiment runner: config parsing, splitting, the full sweep, CLI."""
 
+import contextlib
 import csv
 import dataclasses
 import faulthandler
@@ -658,19 +659,24 @@ def test_single_cell_reproduces_its_rows_of_the_full_sweep(fixture_run, fixture_
     assert sorted(reports, key=lambda r: r.model) == expected
 
 
-def test_tables_are_parsed_for_the_kept_tokens_of_every_topic(fixture_config, monkeypatch):
-    vocabs = []
+@pytest.mark.parametrize("workers", [1, 2])
+def test_tables_are_parsed_for_the_kept_tokens_of_every_topic(
+        fixture_config, fixture_run, monkeypatch, workers):
+    # the one parse entry, called once per table on the serial and pooled paths
+    calls = []
 
-    def spy(path, vocab=None):
-        vocabs.append(vocab)
-        return parse_embedding_file(path, vocab=vocab)
+    def spy(path, vocab, parts, map_scans):
+        calls.append((path, vocab, parts))
+        return parse_embedding_file(path, vocab, parts, map_scans)
 
     monkeypatch.setattr(capsift.experiment, "parse_embedding_file", spy)
-    run_experiment(fixture_config)
+    monkeypatch.setattr(capsift.embeddings, "_BLOCK_CHARS", 1024)  # tables big enough to split
+    assert run_experiment(fixture_config, workers).reports == fixture_run.reports
     records = load_manifest(fixture_config.manifest)
     documents, _ = load_corpus(records, fixture_config.captions_root, load_stopwords())
     kept, _ = filter_corpus(documents)
-    assert vocabs == [{t for doc in kept for t in doc.tokens}] * 2
+    vocab = {t for doc in kept for t in doc.tokens}
+    assert calls == [(path, vocab, workers) for _, path in fixture_config.embeddings]
 
 
 def _fail_gaussian_nb(monkeypatch) -> None:
@@ -816,17 +822,31 @@ def test_cli_main_without_argv_runs_on_the_usable_cpus(tmp_path, monkeypatch, ca
     assert counts == [3]
 
 
+# Stand-ins for the range scan. A pool pickles a map's function by name, so
+# one that runs in a worker is defined here, at module level; a forked worker
+# inherits the log path this process set.
+_real_scan = capsift.embeddings._scan
+_scan_log: Path | None = None
+_test_pid = os.getpid()
+
+
+def _logged_scan(path, start, end, vocab, dim):
+    with _scan_log.open("a", encoding="utf-8") as fh:
+        fh.write(f"{os.getpid()} {start} {end}\n")
+    return _real_scan(path, start, end, vocab, dim)
+
+
+def _scan_dying_in_a_worker(path, start, end, vocab, dim):
+    if os.getpid() != _test_pid:
+        os._exit(3)
+    return _real_scan(path, start, end, vocab, dim)
+
+
 def _spy_on_scan(monkeypatch, log: Path) -> Path:
     """Patch the embedding range scan to append "pid start end" to ``log``,
     a file, so that scans in forked workers are recorded too."""
-    real_scan = capsift.embeddings._scan
-
-    def scan(path, start, end, vocab, dim):
-        with log.open("a", encoding="utf-8") as fh:
-            fh.write(f"{os.getpid()} {start} {end}\n")
-        return real_scan(path, start, end, vocab, dim)
-
-    monkeypatch.setattr(capsift.embeddings, "_scan", scan)
+    monkeypatch.setitem(globals(), "_scan_log", log)
+    monkeypatch.setattr(capsift.embeddings, "_scan", _logged_scan)
     return log
 
 
@@ -862,10 +882,9 @@ def test_pool_scans_split_tables_in_workers_to_the_serial_result(
     for field in dataclasses.fields(fixture_run):
         assert getattr(pooled, field.name) == getattr(fixture_run, field.name), field.name
     scans = _scans(log)
-    # each table's first line in this process, then two ranges in the workers
+    # per table, its first line in this process, then two ranges in the workers
     assert [(pid == os.getpid(), start == 0) for pid, start, _ in scans] == [
-        (True, True), (True, True), (False, False), (False, False), (False, False),
-        (False, False)]
+        (True, True), (False, False), (False, False)] * 2
 
 
 def _malformed_table_config(tmp_path, last_line="broken 1.0 2.0") -> Path:
@@ -934,15 +953,7 @@ def test_pool_numbers_a_non_numeric_kept_line_as_a_serial_run_does(tmp_path, mon
 
 
 def test_pool_fails_the_run_when_a_worker_dies_in_the_parse(fixture_config, monkeypatch):
-    real_scan = capsift.embeddings._scan
-    parent = os.getpid()
-
-    def scan(path, start, end, vocab, dim):
-        if os.getpid() != parent:
-            os._exit(3)
-        return real_scan(path, start, end, vocab, dim)
-
-    monkeypatch.setattr(capsift.embeddings, "_scan", scan)
+    monkeypatch.setattr(capsift.embeddings, "_scan", _scan_dying_in_a_worker)
     monkeypatch.setattr(capsift.embeddings, "_BLOCK_CHARS", 1024)
     faulthandler.dump_traceback_later(120, exit=True)  # a hung pool ends the session loudly
     try:
@@ -954,15 +965,20 @@ def test_pool_fails_the_run_when_a_worker_dies_in_the_parse(fixture_config, monk
 
 def test_pool_runs_the_cells_of_a_single_unit_in_workers(fixture_config, monkeypatch, tmp_path):
     log = _spy_on_train(monkeypatch, tmp_path / "train.log")
-    real_fork_map = capsift.experiment._fork_map
+    real_fork_pool = capsift.experiment._fork_pool
     cell_maps = []
 
-    def fork_map(fn, jobs, workers):
-        if fn is capsift.experiment.run_cell:
-            cell_maps.append([job[2] for job in jobs])
-        return real_fork_map(fn, jobs, workers)
+    @contextlib.contextmanager
+    def fork_pool(workers):
+        with real_fork_pool(workers) as fork_map:
+            def spy(fn, jobs):
+                if fn is capsift.experiment.run_cell:
+                    cell_maps.append([job[2] for job in jobs])
+                return fork_map(fn, jobs)
 
-    monkeypatch.setattr(capsift.experiment, "_fork_map", fork_map)
+            yield spy
+
+    monkeypatch.setattr(capsift.experiment, "_fork_pool", fork_pool)
     config = dataclasses.replace(fixture_config, topics=("moon",),
                                  embeddings=fixture_config.embeddings[:1])
     run_experiment(config, workers=2)
@@ -986,18 +1002,84 @@ def test_fork_map_starts_no_process_for_one_worker_or_one_job(monkeypatch, worke
 
     monkeypatch.setattr(os, "fork", fork)
     jobs = [(k,) for k in range(n_jobs)]
-    results = capsift.experiment._fork_map(lambda k: (os.getpid(), k * k), jobs, workers)
+    with capsift.experiment._fork_pool(workers) as fork_map:
+        results = fork_map(lambda k: (os.getpid(), k * k), jobs)
     assert results == [(os.getpid(), k * k) for k in range(n_jobs)]
 
 
-def test_fork_map_hands_workers_jobs_that_cannot_be_pickled():
-    # jobs carry feature matrices; they reach the workers by fork, and only
-    # indices and results are pickled, so a lambda in a job is no obstacle
-    parent = os.getpid()
-    jobs = [(lambda v: v + 1, 1), (lambda v: v * 10, 2), (lambda v: -v, 3)]
-    results = capsift.experiment._fork_map(
-        lambda fn, v: (os.getpid() != parent, fn(v)), jobs, 2)
-    assert results == [(True, fn(v)) for fn, v in jobs]
+def test_one_pool_serves_the_whole_run(fixture_config, fixture_run, monkeypatch, tmp_path):
+    real_fork = os.fork
+    forks = []
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    scan_log = _spy_on_scan(monkeypatch, tmp_path / "scans.log")
+    train_log = _spy_on_train(monkeypatch, tmp_path / "train.log")
+    monkeypatch.setattr(capsift.embeddings, "_BLOCK_CHARS", 1024)  # tables big enough to split
+    assert run_experiment(fixture_config, workers=2).reports == fixture_run.reports
+    assert len(forks) == 2
+    scan_pids = {pid for pid, _, _ in _scans(scan_log)} - {os.getpid()}
+    assert scan_pids and scan_pids <= set(forks)  # the table scans ran in the pool's workers
+    assert set(_pids(train_log)) == set(forks)  # and so did the cells, in the same workers
+
+
+# Runs the fixture config pooled in a fresh interpreter, whose parent has not
+# yet imported what a split or a cell imports lazily, with every range scan
+# and cell job wrapped to log "pid job modules", the modules the job imported.
+# The wrappers are this script's own module-level functions, which a pool
+# can pickle by name.
+_IMPORT_SCRIPT = r"""
+import os, sys
+import capsift.embeddings, capsift.experiment
+
+config, log = sys.argv[1:]
+real_scan, real_run_cell = capsift.embeddings._scan, capsift.experiment.run_cell
+
+
+def noting_imports(name, fn, args):
+    before = set(sys.modules)
+    result = fn(*args)
+    with open(log, "a", encoding="utf-8") as fh:
+        fh.write(" ".join([str(os.getpid()), name, *sorted(set(sys.modules) - before)]) + "\n")
+    return result
+
+
+def scan(*args):
+    return noting_imports("scan", real_scan, args)
+
+
+def run_cell(*args):
+    return noting_imports("cell", real_run_cell, args)
+
+
+capsift.embeddings._scan, capsift.experiment.run_cell = scan, run_cell
+capsift.embeddings._BLOCK_CHARS = 1024
+capsift.experiment.run_experiment(capsift.experiment.load_config(config), workers=2)
+print(os.getpid())
+"""
+
+
+def test_pool_workers_import_no_module_during_their_jobs(tmp_path):
+    log = tmp_path / "jobs.log"
+    src = Path(__file__).parents[1] / "src"
+    paths = [str(src), os.environ.get("PYTHONPATH", "")]
+    # numpy on one BLAS thread, as the command line starts it when it pools
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)),
+               OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_SCRIPT, str(FIXTURES / "experiment.cfg"), str(log)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    parent = int(done.stdout)
+    rows = [line.split() for line in log.read_text(encoding="utf-8").splitlines()]
+    in_workers = [row for row in rows if int(row[0]) != parent]
+    assert {name for _, name, *_ in in_workers} == {"scan", "cell"}
+    assert [imported for _, _, *imported in in_workers] == [[]] * len(in_workers)
 
 
 @pytest.mark.parametrize("workers", [0, -1, 1.5, "2", True])
