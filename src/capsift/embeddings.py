@@ -84,36 +84,51 @@ _OTHER_WHITESPACE = (
     "\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a"
     "\u2028\u2029\u202f\u205f\u3000"
 )
-_NON_ASCII_WHITESPACE = [c for c in _OTHER_WHITESPACE if not c.isascii()]
+_NON_ASCII_WHITESPACE = [c.encode() for c in _OTHER_WHITESPACE if not c.isascii()]
 _BLOCK_CHARS = 1 << 16  # bytes per read
 _FIRST_ROWS = 1024
 
 
-def _uniform(block: str, dim: int) -> bool:
-    """True when every line of ``block`` is ``dim + 1`` tokens joined by
-    single " " characters and ended by "\n". Each line's ``split()`` then
-    has ``dim + 1`` parts, and ``block.split("\n")`` is the block's
-    ``splitlines()`` followed by one empty string.
+def _line_ends(data: bytes, dim: int) -> np.ndarray | None:
+    """The offsets of the "\n" bytes of the UTF-8 block ``data`` when every
+    line of it is ``dim + 1`` tokens joined by single " " characters and
+    ended by "\n", else None. Each line's ``split()`` then has ``dim + 1``
+    parts, its word runs up to its first " ", and the lines are the
+    block's text's ``splitlines()``.
 
-    The check runs on the block's UTF-8 bytes in a few numpy passes. Bytes
-    up to " " (" ", "\n" and the other ASCII controls) are separators:
-    none may come first or next to another, the last must be "\n", each
-    line must hold ``dim`` spaces, and so the separators must number
-    ``dim + 1`` per line, which leaves no room for any other control byte.
-    Of the other whitespace only non-ASCII characters remain to look for.
+    The check runs in a few numpy passes. Bytes up to " " (" ", "\n" and
+    the other ASCII controls) are separators: none may come first or next
+    to another, the last must be "\n", they must number ``dim + 1`` per
+    line, and each line must hold ``dim`` spaces, which leaves no room for
+    any other control byte. Of the other whitespace only non-ASCII
+    characters remain to look for; in UTF-8 their bytes occur only where
+    they do.
+
+    Below 256 components the spaces are counted per line in one byte, so
+    numpy casts nothing to a wider type. A line whose count reads ``dim``
+    holds ``dim + 256·j`` spaces for some j >= 0. The separators, the
+    "\n"s among them, number ``dim + 1`` per line, so the spaces number at
+    most ``dim`` per line in all; every j is then 0, and the count exact.
     """
-    data = np.frombuffer(block.encode(), dtype=np.uint8)
-    seps = data <= 32
-    if data[-1] != 10 or seps[0] or (seps[1:] & seps[:-1]).any():
-        return False
-    ends = np.flatnonzero(data == 10)
+    array = np.frombuffer(data, dtype=np.uint8)
+    seps = array <= 32
+    if array[-1] != 10 or seps[0] or (seps[1:] & seps[:-1]).any():
+        return None
+    ends = np.flatnonzero(array == 10)
     if np.count_nonzero(seps) != (dim + 1) * len(ends):
-        return False
+        return None
     # segment k runs from line k - 1's "\n" up to line k's, so holds line k's spaces
-    spaces = np.add.reduceat(data == 32, np.concatenate(([0], ends[:-1])), dtype=np.intp)
-    if (spaces != dim).any():
-        return False
-    return len(data) == len(block) or not any(c in block for c in _NON_ASCII_WHITESPACE)
+    segments = np.concatenate(([0], ends[:-1]))
+    spaces = array == 32
+    if dim < 256:
+        counts = np.add.reduceat(spaces.view(np.uint8), segments, dtype=np.uint8)
+    else:
+        counts = np.add.reduceat(spaces, segments, dtype=np.intp)
+    if (counts != dim).any():
+        return None
+    if not data.isascii() and any(c in data for c in _NON_ASCII_WHITESPACE):
+        return None
+    return ends
 
 
 def _blocks(fh, size):
@@ -122,23 +137,35 @@ def _blocks(fh, size):
 
     Every block but the last ends with "\n", and "\r\n" and "\r" become
     "\n" as in a text-mode read (so a CRLF table's blocks can pass
-    ``_uniform``), and the blocks' ``splitlines()`` together are the whole
-    text's. Bytes that are not UTF-8 raise UnicodeDecodeError once every
-    whole line before the line that holds them was yielded.
+    ``_line_ends``), and the blocks' ``splitlines()`` together are the whole
+    text's. Bytes that are not UTF-8 raise ``_NotUtf8`` once every whole
+    line before the line that holds them was yielded.
     """
     pending: list[bytes] = []
+    offset = fh.tell()  # of pending's first byte in the file
     while size > 0 and (chunk := fh.read(min(_BLOCK_CHARS, size))):
         size -= len(chunk)
         cut = chunk.rfind(b"\n") + 1
         if cut:
-            yield from _decode(b"".join(pending) + chunk[:cut])
+            data = b"".join(pending) + chunk[:cut]
+            yield from _decode(data, offset)
+            offset += len(data)
             pending = []
         pending.append(chunk[cut:])
-    yield from _decode(b"".join(pending))
+    yield from _decode(b"".join(pending), offset)
 
 
-def _decode(data: bytes):
-    """Yield the text of ``data``, whole lines, as ``_blocks`` describes."""
+class _NotUtf8(Exception):
+    """Bytes that are not UTF-8. The text is that of the UnicodeDecodeError
+    a decode of the whole file raises."""
+
+
+def _decode(data: bytes, offset: int):
+    """Yield the text of ``data``, whole lines, as ``_blocks`` describes;
+    ``data`` starts ``offset`` bytes into the file, at a line's start. When
+    the bytes before it are UTF-8, a decode of the whole file fails at the
+    same bytes as ``data``'s, for the same reason, ``offset`` bytes later;
+    when they are not, an earlier block or range reports them first."""
     try:
         text, error = data.decode("utf-8"), None
     except UnicodeDecodeError as exc:
@@ -151,7 +178,11 @@ def _decode(data: bytes):
     if text:
         yield text
     if error is not None:
-        raise error
+        # UnicodeDecodeError's own wording, its positions counted from the file's start
+        start, end = offset + error.start, offset + error.end
+        where = (f"byte 0x{data[error.start]:02x} in position {start}" if end - start == 1
+                 else f"bytes in position {start}-{end - 1}")
+        raise _NotUtf8(f"'{error.encoding}' codec can't decode {where}: {error.reason}")
 
 
 class _LineError(Exception):
@@ -183,10 +214,15 @@ def _scan(path: Path, start: int, end: int | None, vocab: Container[str] | None,
     range passes the dimension its file's first line set. The scan stops at
     the range's first error.
 
-    With a ``vocab`` and a known dimension, each block is first checked
-    whole by ``_uniform``. In a block that passes, every line has the right
-    token count, so only the lines whose word is in ``vocab`` are split;
-    a block that fails is split line by line, as without a ``vocab``."""
+    With a ``vocab`` and a known dimension, each block's UTF-8 bytes are
+    first checked whole by ``_line_ends``, which counts each line's spaces
+    in one byte below 256 components and returns the offsets of the
+    lines' ends. In a block that passes, every line has the right token
+    count, so each line's word alone is cut out at those offsets (up to
+    its first " "), decoded and lowercased, and only the lines whose word
+    is in ``vocab`` are cut out, decoded and split; no string is made of
+    any other line. A block that fails is split line by line, as without a
+    ``vocab``, so its errors and line numbers are those of a per-line scan."""
     header = None
     # A kept line's vector goes into the next free row; a repeated word does
     # not claim that row, so the following kept line overwrites it.
@@ -199,16 +235,23 @@ def _scan(path: Path, start: int, end: int | None, vocab: Container[str] | None,
             fh.seek(start)
             for block in _blocks(fh, math.inf if end is None else end - start):
                 first = line_no
-                if vocab is not None and dim is not None and _uniform(block, dim):
+                ends = None
+                if vocab is not None and dim is not None:
+                    data = block.encode()
+                    ends = _line_ends(data, dim)
+                if ends is not None:
                     # Every line has the right token count, so an unused
                     # line needs no split(): only its word is looked at.
-                    lines = block.split("\n")
-                    lines.pop()
-                    todo = [(n, line) for n, line in enumerate(lines, first + 1)
-                            if line[:line.find(" ")].lower() in vocab]
+                    starts = [0, *(ends[:-1] + 1).tolist()]
+                    find = data.find
+                    todo = [(n, data[a:b].decode())
+                            for n, (a, b) in enumerate(zip(starts, ends.tolist()), first + 1)
+                            if data[a:find(b" ", a)].decode().lower() in vocab]
+                    lines = len(starts)
                 else:
-                    lines = block.splitlines()
-                    todo = enumerate(lines, first + 1)
+                    split = block.splitlines()
+                    todo = enumerate(split, first + 1)
+                    lines = len(split)
                 for line_no, line in todo:
                     parts = line.split()
                     if dim is None and _is_word2vec_header(parts):
@@ -239,16 +282,10 @@ def _scan(path: Path, start: int, end: int | None, vocab: Container[str] | None,
                     if not np.isfinite(matrix[row]).all():
                         raise _LineError("non-finite component")
                     index.setdefault(word, row)
-                line_no = first + len(lines)
+                line_no = first + lines
     except _LineError as exc:
         error = (line_no, str(exc))
-    except UnicodeDecodeError as exc:
-        # A block's bytes are decoded on their own, so exc counts from the
-        # block's start; decoding the whole file gives the file position.
-        try:
-            path.read_bytes().decode("utf-8")
-        except UnicodeDecodeError as whole:
-            exc = whole
+    except _NotUtf8 as exc:
         error = (None, f"embedding file is not valid UTF-8: {path} ({exc})")
     except OSError as exc:
         error = (None, f"cannot read embedding file: {exc}")
@@ -315,11 +352,15 @@ def parse_embedding_file(
     converted to floats and checked for non-numeric and non-finite
     components. With ``vocab`` None every line is kept. The file is read in
     blocks, so memory follows the kept rows, not the file. The lines of a
-    block are checked at once, in a few numpy passes over its bytes, for
-    the table's shape (single spaces, the right count); only when a block
-    fails is each line ``split()`` to find the malformed one. Of a
-    malformed line and bytes that are not UTF-8, the first in the file is
-    reported.
+    block are checked at once, in a few numpy passes over its UTF-8 bytes,
+    for the table's shape (single spaces, the right count, each line's
+    spaces counted in one byte below 256 components), which also finds
+    each line's end; in a block that passes, each line's word alone
+    is cut out at those offsets and decoded, and only the lines whose word
+    is in ``vocab`` are decoded and split. Only when a block fails is each
+    line ``split()`` to find the malformed one. Of a malformed line and
+    bytes that are not UTF-8, the first in the file is reported, the bytes
+    by their position in the file.
 
     With ``parts`` > 1 the file is split into byte ranges (``_ranges``):
     its first line, scanned here, then up to ``parts`` others, for which

@@ -476,6 +476,52 @@ def test_range_scan_gives_the_whole_file_position_of_bytes_not_utf8(tmp_path, pa
         assert "in position 100003:" in message
 
 
+@pytest.mark.parametrize("bad, end", [
+    (b"\xff", b" 1.0 2.0\n"),          # one byte that starts nothing
+    (b"\xe9", b" 1.0 2.0\n"),          # a start byte with no continuation
+    (b"\xe2\x82", b" 1.0 2.0\n"),      # two bytes of a three-byte character
+    (b"\xed\xa0\x80", b" 1.0 2.0\n"),  # an encoded surrogate
+    (b"\xf0\x9f\x98", b""),            # a character cut off by the file's end
+])
+@pytest.mark.parametrize("block_chars", [64, 1 << 16])
+def test_bytes_not_utf8_are_reported_as_a_decode_of_the_whole_file(
+        tmp_path, monkeypatch, bad, end, block_chars):
+    monkeypatch.setattr(capsift.embeddings, "_BLOCK_CHARS", block_chars)
+    path = tmp_path / "late.txt"
+    path.write_bytes(b"w 1.0 2.0\n" * 10_000 + b"caf" + bad + end)
+    with pytest.raises(UnicodeDecodeError) as whole:
+        path.read_bytes().decode("utf-8")
+    expected = f"embedding file is not valid UTF-8: {path} ({whole.value})"
+    for vocab in (None, {"w"}):
+        assert serial_outcome(path, vocab) == expected
+        for parts in RANGE_COUNTS:
+            assert ranged_outcome(path, vocab, parts) == expected
+
+
+def wide_table(lines, dim=100):
+    """The text of a table of ``lines`` lines w0, w1, ... of ``dim``
+    five-decimal components, as wide as the benchmark's tables."""
+    rng = np.random.Generator(np.random.PCG64(5))
+    rows = [" ".join(f"{v:.5f}" for v in row) for row in rng.normal(0, 1, (50, dim))]
+    return "".join(f"w{i} {rows[i % 50]}\n" for i in range(lines))
+
+
+def test_bytes_not_utf8_near_the_end_of_a_large_table_keep_the_memory_flat(
+        tmp_path, monkeypatch):
+    # The position is counted from the block's own file offset; nothing
+    # reads or decodes the whole file again to find it.
+    monkeypatch.setattr(capsift.embeddings, "_FIRST_ROWS", 16)  # a small matrix
+    path = tmp_path / "late.txt"
+    path.write_bytes(wide_table(5_000).encode() + b"caf\xff" + b" 0.5" * 100 + b"\n")
+    assert path.stat().st_size > 4 << 20
+    for parse in (lambda: serial_outcome(path, {"w7"}),
+                  lambda: ranged_outcome(path, {"w7"}, 2)):
+        outcome = []
+        peak = traced_peak(lambda: outcome.append(parse()))
+        assert "can't decode byte 0xff in position" in outcome[0]
+        assert peak < 10 * capsift.embeddings._BLOCK_CHARS, peak
+
+
 @pytest.mark.parametrize("block_chars", [1, 4, 1 << 16])
 def test_blocks_end_every_line_with_a_newline(monkeypatch, block_chars):
     # as a text-mode read does, so a CRLF table's blocks can pass the block check
@@ -522,24 +568,30 @@ def test_the_first_of_bad_bytes_and_a_malformed_line_is_reported(
 
 
 # --- the block check ------------------------------------------------------------
-# A restricted scan checks each block's line shape at once; a block that
-# passes is split into lines and only the lines whose word is in use are
-# split further. Any other block takes the per-line loop.
+# A restricted scan checks each block's line shape at once; in a block that
+# passes, each line's word is cut out at the line offsets the check found,
+# and only the lines whose word is in use are decoded and split. Any other
+# block takes the per-line loop.
 
 _LINE_CHANGES = ["none", "non-numeric", "non-finite", "count", "space", "tab", "nbsp",
                  "non-ascii word", "no final newline"]
 
 
+# multi-byte words, among them uppercase ones whose lowercase differs in
+# length ("İ".lower() is two characters)
+NON_ASCII_WORDS = ["Café", "CAFÉ", "İ", "naïve"]
+
+
 @st.composite
 def uniform_tables(draw):
-    """The text of a table of well-formed lines of 1-4 components, with at
-    most one line changed, and an optional word2vec header. An inserted
-    space goes next to another space or at either end of the line; a tab
-    or an NBSP goes anywhere. Each of the three, like a wrong count, may
-    come with a component dropped, which for a space leaves the line's
-    space count right."""
+    """The text of a table of well-formed lines of 1-4 components, some of
+    whose words are not ASCII, with at most one line changed, and an
+    optional word2vec header. An inserted space goes next to another space
+    or at either end of the line; a tab or an NBSP goes anywhere. Each of
+    the three, like a wrong count, may come with a component dropped,
+    which for a space leaves the line's space count right."""
     dim = draw(st.integers(1, 4))
-    lines = [[draw(st.sampled_from(["a", "b", "c", "A"]))]
+    lines = [[draw(st.sampled_from(["a", "b", "c", "A", *NON_ASCII_WORDS]))]
              + [draw(st.sampled_from(["1", "-2.5", "3e2", "0.125"])) for _ in range(dim)]
              for _ in range(draw(st.integers(1, 30)))]
     change = draw(st.sampled_from(_LINE_CHANGES))
@@ -568,7 +620,8 @@ def uniform_tables(draw):
     return header + "\n".join(text) + ("" if change == "no final newline" else "\n")
 
 
-@given(uniform_tables(), st.sets(st.sampled_from(["a", "b", "café", "x"])))
+@given(uniform_tables(),
+       st.sets(st.sampled_from(["a", "b", "x", *{w.lower() for w in NON_ASCII_WORDS}])))
 def test_block_check_keeps_the_restricted_parse_exact(text, vocab):
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         path = Path(tmp) / "emb.txt"
@@ -581,6 +634,10 @@ def test_block_check_keeps_the_restricted_parse_exact(text, vocab):
             serial = serial_outcome(path, vocab)
             for parts in RANGE_COUNTS:
                 assert ranged_outcome(path, vocab, parts) == serial, (block_chars, parts)
+
+
+def spaced_line(word, spaces):
+    return word + " 1" * spaces + "\n"
 
 
 @pytest.mark.parametrize("block, dim, uniform", [
@@ -596,21 +653,63 @@ def test_block_check_keeps_the_restricted_parse_exact(text, vocab):
     ("w 1 2\xa03\n", 2, False),
     ("w 1 2\u30003\n", 2, False),
     ("w 1 2\u20283 4\n", 2, False),  # splitlines() ends a line at U+2028
+    # the widest one-byte space count, and the narrowest that needs more
+    pytest.param(spaced_line("w", 255) * 3, 255, True, id="255,255,255 spaces-255-True"),
+    pytest.param(spaced_line("w", 255) + spaced_line("x", 511), 255, False,
+                 id="255,511 spaces-255-False"),
+    pytest.param(spaced_line("w", 256) * 3, 256, True, id="256,256,256 spaces-256-True"),
+    pytest.param(spaced_line("w", 256) + spaced_line("x", 0), 256, False,
+                 id="256,0 spaces-256-False"),
+    pytest.param(spaced_line("w", 300) + spaced_line("CAFÉ", 300), 300, True,
+                 id="300,300 spaces-300-True"),
+    pytest.param(spaced_line("w", 300) + spaced_line("x", 299), 300, False,
+                 id="300,299 spaces-300-False"),
+    # 44 and 556 spaces are each 300 modulo 256, and 600 in all
+    pytest.param(spaced_line("w", 44) + spaced_line("x", 556), 300, False,
+                 id="44,556 spaces-300-False"),
 ])
 def test_block_check_fails_any_other_line_shape(block, dim, uniform):
-    assert capsift.embeddings._uniform(block, dim) is uniform
+    data = block.encode()
+    ends = capsift.embeddings._line_ends(data, dim)
+    if uniform:
+        assert ends.tolist() == [i for i, byte in enumerate(data) if byte == 10]
+    else:
+        assert ends is None
+
+
+def test_block_check_counts_wide_lines_exactly(tmp_path, monkeypatch):
+    # The first line fills the first block and sets the dimension; the next
+    # block holds 44 and 556 spaces, which pass a count taken modulo 256.
+    first = "a" + " 1.25" * 300 + "\n"
+    path = write(tmp_path, first + spaced_line("b", 44) + spaced_line("c", 556))
+    monkeypatch.setattr(capsift.embeddings, "_BLOCK_CHARS", len(first))
+    line_ends = capsift.embeddings._line_ends
+    checked = []
+
+    def spy(data, dim):
+        ends = line_ends(data, dim)
+        checked.append((data.count(b"\n"), ends is not None))
+        return ends
+
+    monkeypatch.setattr(capsift.embeddings, "_line_ends", spy)
+    message = "line 2: expected 300 components, got 44"
+    assert parse_outcome(path, {"a", "b", "c"}) == message
+    assert checked == [(2, False)]  # both wide lines, in one failing block
+    for parts in RANGE_COUNTS:
+        assert ranged_outcome(path, {"a"}, parts) == message
 
 
 def test_block_check_passes_uniform_blocks_and_fails_a_tab(tmp_path, monkeypatch):
     monkeypatch.setattr(capsift.embeddings, "_BLOCK_CHARS", 64)
-    uniform = capsift.embeddings._uniform
+    line_ends = capsift.embeddings._line_ends
     checked = []
 
-    def spy(block, dim):
-        checked.append((block, uniform(block, dim)))
-        return checked[-1][1]
+    def spy(data, dim):
+        ends = line_ends(data, dim)
+        checked.append((data, ends is not None))
+        return ends
 
-    monkeypatch.setattr(capsift.embeddings, "_uniform", spy)
+    monkeypatch.setattr(capsift.embeddings, "_line_ends", spy)
     lines = numbered_lines(40)
     lines[12] = "Café 1.5 2.5"
     lines[30] = "w30\t30.0 30.1"
@@ -619,8 +718,8 @@ def test_block_check_passes_uniform_blocks_and_fails_a_tab(tmp_path, monkeypatch
     assert parse_outcome(path, vocab) == reference_outcome(path, vocab) == {
         "w3": [3.0, 3.1], "café": [1.5, 2.5], "w35": [35.0, 35.1]}
     by_kind = {}
-    for block, passed in checked:
-        kind = "tab" if "\t" in block else "non-ascii" if "é" in block else "ascii"
+    for data, passed in checked:
+        kind = "tab" if b"\t" in data else "non-ascii" if "é".encode() in data else "ascii"
         by_kind.setdefault(kind, set()).add(passed)
     assert by_kind == {"ascii": {True}, "non-ascii": {True}, "tab": {False}}
 
@@ -633,6 +732,18 @@ def test_restricted_parse_memory_stays_flat_as_the_table_grows(tmp_path):
         path = write(tmp_path, "\n".join(numbered_lines(n, dim=6)) + "\n", f"t{n}.txt")
         peaks.append(traced_peak(lambda: parse_embedding_file(path, vocab={"w7"})))
     assert peaks[1] - peaks[0] < 1 << 20, peaks
+
+
+def test_restricted_parse_of_a_wide_table_peaks_below_ten_blocks(tmp_path, monkeypatch):
+    # A block is checked in a few arrays of its own size, with no count
+    # cast to a wider type; about 26 blocks of a 100-d table.
+    monkeypatch.setattr(capsift.embeddings, "_FIRST_ROWS", 16)  # a small matrix
+    path = write(tmp_path, wide_table(2_000))
+    vocab = {f"w{i}" for i in range(0, 2_000, 97)}
+    tables = []
+    peak = traced_peak(lambda: tables.append(parse_embedding_file(path, vocab)))
+    assert len(tables[0]) == len(vocab)
+    assert peak < 10 * capsift.embeddings._BLOCK_CHARS, peak
 
 
 # --- caption vectorization -------------------------------------------------

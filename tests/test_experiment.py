@@ -932,15 +932,15 @@ def test_pool_numbers_a_non_numeric_kept_line_as_a_serial_run_does(tmp_path, mon
     # block has the table's shape, so the block check passes it
     config = load_config(_malformed_table_config(tmp_path, "hoax " + "0.5 " * 15 + "x"))
     monkeypatch.setattr(capsift.embeddings, "_BLOCK_CHARS", 1024)
-    uniform = capsift.embeddings._uniform
+    line_ends = capsift.embeddings._line_ends
     passed = []
 
-    def spy(block, dim):
-        result = uniform(block, dim)
-        passed.append(result and "x\n" in block)
+    def spy(data, dim):
+        result = line_ends(data, dim)
+        passed.append(result is not None and b"x\n" in data)
         return result
 
-    monkeypatch.setattr(capsift.embeddings, "_uniform", spy)
+    monkeypatch.setattr(capsift.embeddings, "_line_ends", spy)
     messages = []
     for workers in (1, 2):
         with pytest.raises(EmbeddingFormatError) as err:
