@@ -86,7 +86,6 @@ _OTHER_WHITESPACE = (
 )
 _NON_ASCII_WHITESPACE = [c.encode() for c in _OTHER_WHITESPACE if not c.isascii()]
 _BLOCK_CHARS = 1 << 16  # bytes per read
-_FIRST_ROWS = 1024
 
 
 def _line_ends(data: bytes, dim: int) -> np.ndarray | None:
@@ -132,14 +131,14 @@ def _line_ends(data: bytes, dim: int) -> np.ndarray | None:
 
 
 def _blocks(fh, size):
-    """Yield the text of the next ``size`` bytes of the binary file ``fh``
-    in blocks of whole lines.
+    """Yield the next ``size`` bytes of the binary file ``fh``, checked as
+    UTF-8, in blocks of whole lines that stay bytes.
 
-    Every block but the last ends with "\n", and "\r\n" and "\r" become
-    "\n" as in a text-mode read (so a CRLF table's blocks can pass
-    ``_line_ends``), and the blocks' ``splitlines()`` together are the whole
-    text's. Bytes that are not UTF-8 raise ``_NotUtf8`` once every whole
-    line before the line that holds them was yielded.
+    Every block but the last ends with "\n"; "\r\n" and "\r" become "\n"
+    as in a text-mode read (so a CRLF table's blocks can pass
+    ``_line_ends``), and the decoded blocks' ``splitlines()`` together are
+    the whole text's. Bytes that are not UTF-8 raise ``_NotUtf8`` once every
+    whole line before the line that holds them was yielded.
     """
     pending: list[bytes] = []
     offset = fh.tell()  # of pending's first byte in the file
@@ -148,11 +147,11 @@ def _blocks(fh, size):
         cut = chunk.rfind(b"\n") + 1
         if cut:
             data = b"".join(pending) + chunk[:cut]
-            yield from _decode(data, offset)
+            yield from _checked(data, offset)
             offset += len(data)
             pending = []
         pending.append(chunk[cut:])
-    yield from _decode(b"".join(pending), offset)
+    yield from _checked(b"".join(pending), offset)
 
 
 class _NotUtf8(Exception):
@@ -160,23 +159,27 @@ class _NotUtf8(Exception):
     a decode of the whole file raises."""
 
 
-def _decode(data: bytes, offset: int):
-    """Yield the text of ``data``, whole lines, as ``_blocks`` describes;
-    ``data`` starts ``offset`` bytes into the file, at a line's start. When
-    the bytes before it are UTF-8, a decode of the whole file fails at the
-    same bytes as ``data``'s, for the same reason, ``offset`` bytes later;
-    when they are not, an earlier block or range reports them first."""
-    try:
-        text, error = data.decode("utf-8"), None
-    except UnicodeDecodeError as exc:
-        text, error = data[:exc.start].decode("utf-8"), exc
-        last = text.splitlines(keepends=True)[-1:]
-        if last and last[0].splitlines() == last:  # the line that holds the bad bytes
-            text = text[:-len(last[0])]
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    if text:
-        yield text
+def _checked(data: bytes, offset: int):
+    """Yield ``data``, whole lines, as ``_blocks`` describes; ``data``
+    starts ``offset`` bytes into the file, at a line's start. Only a block
+    that is not ASCII is decoded, once, to check it, and only then are line
+    ends replaced, so an error's positions are the file's. When the bytes
+    before it are UTF-8, a decode of the whole file fails at the same bytes
+    as ``data``'s, for the same reason, ``offset`` bytes later; when they
+    are not, an earlier block or range reports them first."""
+    lines, error = data, None
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            lines, error = data[:exc.start], exc
+            last = lines.decode("utf-8").splitlines(keepends=True)[-1:]
+            if last and last[0].splitlines() == last:  # the line that holds the bad bytes
+                lines = lines[:-len(last[0].encode())]
+    if b"\r" in lines:
+        lines = lines.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if lines:
+        yield lines
     if error is not None:
         # UnicodeDecodeError's own wording, its positions counted from the file's start
         start, end = offset + error.start, offset + error.end
@@ -214,20 +217,18 @@ def _scan(path: Path, start: int, end: int | None, vocab: Container[str] | None,
     range passes the dimension its file's first line set. The scan stops at
     the range's first error.
 
-    With a ``vocab`` and a known dimension, each block's UTF-8 bytes are
+    Blocks come as bytes. With a ``vocab`` and a known dimension, each is
     first checked whole by ``_line_ends``, which counts each line's spaces
     in one byte below 256 components and returns the offsets of the
     lines' ends. In a block that passes, every line has the right token
     count, so each line's word alone is cut out at those offsets (up to
     its first " "), decoded and lowercased, and only the lines whose word
     is in ``vocab`` are cut out, decoded and split; no string is made of
-    any other line. A block that fails is split line by line, as without a
-    ``vocab``, so its errors and line numbers are those of a per-line scan."""
+    any other line. Any other block is decoded and split line by line, so
+    its errors and line numbers are those of a per-line scan. A word's
+    first vector is kept, and the kept ones are stacked when the scan ends."""
     header = None
-    # A kept line's vector goes into the next free row; a repeated word does
-    # not claim that row, so the following kept line overwrites it.
-    index: dict[str, int] = {}
-    matrix = None
+    kept: dict[str, np.ndarray] = {}
     line_no = 0
     error = None
     try:
@@ -235,21 +236,18 @@ def _scan(path: Path, start: int, end: int | None, vocab: Container[str] | None,
             fh.seek(start)
             for block in _blocks(fh, math.inf if end is None else end - start):
                 first = line_no
-                ends = None
-                if vocab is not None and dim is not None:
-                    data = block.encode()
-                    ends = _line_ends(data, dim)
+                ends = _line_ends(block, dim) if vocab is not None and dim is not None else None
                 if ends is not None:
                     # Every line has the right token count, so an unused
                     # line needs no split(): only its word is looked at.
                     starts = [0, *(ends[:-1] + 1).tolist()]
-                    find = data.find
-                    todo = [(n, data[a:b].decode())
+                    find = block.find
+                    todo = [(n, block[a:b].decode())
                             for n, (a, b) in enumerate(zip(starts, ends.tolist()), first + 1)
-                            if data[a:find(b" ", a)].decode().lower() in vocab]
+                            if block[a:find(b" ", a)].decode().lower() in vocab]
                     lines = len(starts)
                 else:
-                    split = block.splitlines()
+                    split = block.decode().splitlines()
                     todo = enumerate(split, first + 1)
                     lines = len(split)
                 for line_no, line in todo:
@@ -270,18 +268,13 @@ def _scan(path: Path, start: int, end: int | None, vocab: Container[str] | None,
                     word = parts[0].lower()
                     if vocab is not None and word not in vocab:
                         continue
-                    row = len(index)
-                    if matrix is None:
-                        matrix = np.empty((_FIRST_ROWS, dim))
-                    elif row == len(matrix):
-                        matrix = np.concatenate((matrix, np.empty_like(matrix)))
                     try:
-                        matrix[row] = parts[1:]
+                        vector = np.array(parts[1:], dtype=np.float64)
                     except ValueError as exc:
                         raise _LineError(f"non-numeric component ({exc})") from None
-                    if not np.isfinite(matrix[row]).all():
+                    if not np.isfinite(vector).all():
                         raise _LineError("non-finite component")
-                    index.setdefault(word, row)
+                    kept.setdefault(word, vector)
                 line_no = first + lines
     except _LineError as exc:
         error = (line_no, str(exc))
@@ -289,8 +282,7 @@ def _scan(path: Path, start: int, end: int | None, vocab: Container[str] | None,
         error = (None, f"embedding file is not valid UTF-8: {path} ({exc})")
     except OSError as exc:
         error = (None, f"cannot read embedding file: {exc}")
-    words = list(index)
-    return _Scan(line_no, words, None if matrix is None else matrix[:len(words)],
+    return _Scan(line_no, list(kept), np.array(list(kept.values())) if kept else None,
                  error, dim, header)
 
 
@@ -351,16 +343,18 @@ def parse_embedding_file(
     still run on every line, but only lines whose word is in ``vocab`` are
     converted to floats and checked for non-numeric and non-finite
     components. With ``vocab`` None every line is kept. The file is read in
-    blocks, so memory follows the kept rows, not the file. The lines of a
-    block are checked at once, in a few numpy passes over its UTF-8 bytes,
-    for the table's shape (single spaces, the right count, each line's
-    spaces counted in one byte below 256 components), which also finds
-    each line's end; in a block that passes, each line's word alone
-    is cut out at those offsets and decoded, and only the lines whose word
-    is in ``vocab`` are decoded and split. Only when a block fails is each
-    line ``split()`` to find the malformed one. Of a malformed line and
-    bytes that are not UTF-8, the first in the file is reported, the bytes
-    by their position in the file.
+    blocks of bytes, so memory follows the kept rows, not the file; a block
+    is decoded to check it only when it is not ASCII. The lines of a block
+    are checked at once, in a few numpy passes over its bytes, for the
+    table's shape (single spaces, the right count, each line's spaces
+    counted in one byte below 256 components), which also finds each
+    line's end; in a block that passes, each line's word alone is cut out
+    at those offsets and decoded, and only the lines whose word is in
+    ``vocab`` are decoded and split. Only a block that fails (any block
+    when ``vocab`` is None) is decoded whole, and each line ``split()`` to
+    find the malformed one. Of a malformed line and bytes that are not
+    UTF-8, the first in the file is reported, the bytes by their position
+    in the file.
 
     With ``parts`` > 1 the file is split into byte ranges (``_ranges``):
     its first line, scanned here, then up to ``parts`` others, for which

@@ -158,6 +158,13 @@ def reference_outcome(path, vocab=None):
     return vectors
 
 
+@pytest.mark.parametrize("component", ["x", "0x10", "1_0", "True"])
+def test_components_convert_as_float_does(tmp_path, component):
+    # the same values as float(), and the same error text
+    path = write(tmp_path, f"w 1.0 {component}\n")
+    assert parse_outcome(path, {"w"}) == parse_outcome(path) == reference_outcome(path, {"w"})
+
+
 def assert_restricted_matches_full(path, vocab):
     """The full parse agrees with the reference, and a restricted parse
     fails with its message or keeps exactly its rows of the ``vocab`` words."""
@@ -488,14 +495,17 @@ def test_bytes_not_utf8_are_reported_as_a_decode_of_the_whole_file(
         tmp_path, monkeypatch, bad, end, block_chars):
     monkeypatch.setattr(capsift.embeddings, "_BLOCK_CHARS", block_chars)
     path = tmp_path / "late.txt"
-    path.write_bytes(b"w 1.0 2.0\n" * 10_000 + b"caf" + bad + end)
-    with pytest.raises(UnicodeDecodeError) as whole:
-        path.read_bytes().decode("utf-8")
-    expected = f"embedding file is not valid UTF-8: {path} ({whole.value})"
-    for vocab in (None, {"w"}):
-        assert serial_outcome(path, vocab) == expected
-        for parts in RANGE_COUNTS:
-            assert ranged_outcome(path, vocab, parts) == expected
+    # positions count the file's own bytes, each "\r" of a CRLF table too
+    for newline in (b"\n", b"\r\n"):
+        path.write_bytes((b"w 1.0 2.0" + newline) * 10_000 + b"caf" + bad
+                         + end.replace(b"\n", newline))
+        with pytest.raises(UnicodeDecodeError) as whole:
+            path.read_bytes().decode("utf-8")
+        expected = f"embedding file is not valid UTF-8: {path} ({whole.value})"
+        for vocab in (None, {"w"}):
+            assert serial_outcome(path, vocab) == expected
+            for parts in RANGE_COUNTS:
+                assert ranged_outcome(path, vocab, parts) == expected
 
 
 def wide_table(lines, dim=100):
@@ -506,11 +516,9 @@ def wide_table(lines, dim=100):
     return "".join(f"w{i} {rows[i % 50]}\n" for i in range(lines))
 
 
-def test_bytes_not_utf8_near_the_end_of_a_large_table_keep_the_memory_flat(
-        tmp_path, monkeypatch):
+def test_bytes_not_utf8_near_the_end_of_a_large_table_keep_the_memory_flat(tmp_path):
     # The position is counted from the block's own file offset; nothing
     # reads or decodes the whole file again to find it.
-    monkeypatch.setattr(capsift.embeddings, "_FIRST_ROWS", 16)  # a small matrix
     path = tmp_path / "late.txt"
     path.write_bytes(wide_table(5_000).encode() + b"caf\xff" + b" 0.5" * 100 + b"\n")
     assert path.stat().st_size > 4 << 20
@@ -524,13 +532,14 @@ def test_bytes_not_utf8_near_the_end_of_a_large_table_keep_the_memory_flat(
 
 @pytest.mark.parametrize("block_chars", [1, 4, 1 << 16])
 def test_blocks_end_every_line_with_a_newline(monkeypatch, block_chars):
-    # as a text-mode read does, so a CRLF table's blocks can pass the block check
+    # as a text-mode read does, so a CRLF table's blocks can pass the block
+    # check; the blocks stay bytes, a valid non-ASCII line's too
     monkeypatch.setattr(capsift.embeddings, "_BLOCK_CHARS", block_chars)
-    data = b"a 1\r\nb 2\rc 3\n\r\nd 4\r"
+    data = b"a 1\r\nb 2\rc 3\n\r\nd 4\r" + "café 1\r\n".encode()
     blocks = list(_blocks(io.BytesIO(data), math.inf))
-    assert "".join(blocks) == "a 1\nb 2\nc 3\n\nd 4\n"
-    assert all(block.endswith("\n") for block in blocks)
-    assert "".join(_blocks(io.BytesIO(data), 9)) == "a 1\nb 2\n"  # a range's bytes only
+    assert b"".join(blocks) == b"a 1\nb 2\nc 3\n\nd 4\n" + "café 1\n".encode()
+    assert all(block.endswith(b"\n") for block in blocks)
+    assert b"".join(_blocks(io.BytesIO(data), 9)) == b"a 1\nb 2\n"  # a range's bytes only
 
 
 BAD_BYTE_CASES = [
@@ -734,14 +743,16 @@ def test_restricted_parse_memory_stays_flat_as_the_table_grows(tmp_path):
     assert peaks[1] - peaks[0] < 1 << 20, peaks
 
 
-def test_restricted_parse_of_a_wide_table_peaks_below_ten_blocks(tmp_path, monkeypatch):
+@pytest.mark.parametrize("parts", [1, 2, 4])
+def test_restricted_parse_of_a_wide_table_peaks_below_ten_blocks(tmp_path, parts):
     # A block is checked in a few arrays of its own size, with no count
-    # cast to a wider type; about 26 blocks of a 100-d table.
-    monkeypatch.setattr(capsift.embeddings, "_FIRST_ROWS", 16)  # a small matrix
+    # cast to a wider type, and each range holds only its kept rows; about
+    # 26 blocks of a 100-d table.
     path = write(tmp_path, wide_table(2_000))
     vocab = {f"w{i}" for i in range(0, 2_000, 97)}
     tables = []
-    peak = traced_peak(lambda: tables.append(parse_embedding_file(path, vocab)))
+    peak = traced_peak(
+        lambda: tables.append(parse_embedding_file(path, vocab, parts, in_process)))
     assert len(tables[0]) == len(vocab)
     assert peak < 10 * capsift.embeddings._BLOCK_CHARS, peak
 
