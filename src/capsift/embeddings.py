@@ -12,6 +12,7 @@ text first.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from collections.abc import Container
@@ -321,13 +322,9 @@ def _table(path: Path, scans: list[_Scan]) -> EmbeddingTable:
                           source_format=GLOVE_TEXT if header is None else WORD2VEC_TEXT)
 
 
-def _in_process(fn, jobs: list) -> list:
-    return [fn(*job) for job in jobs]
-
-
 def parse_embedding_file(
     path: str | Path, vocab: Container[str] | None = None, parts: int = 1,
-    map_scans=_in_process,
+    map_scans=itertools.starmap,
 ) -> EmbeddingTable:
     """Parse a GloVe-text or word2vec-text embedding file.
 
@@ -358,9 +355,9 @@ def parse_embedding_file(
 
     With ``parts`` > 1 the file is split into byte ranges (``_ranges``):
     its first line, scanned here, then up to ``parts`` others, for which
-    ``map_scans(_scan, jobs)`` must return ``[_scan(*job) for job in jobs]``,
-    say from a pool. The table, and the error raised, do not depend on
-    ``parts``; at 1 the whole file is one range, scanned here.
+    ``map_scans(_scan, jobs)`` must return the ``_scan(*job)`` results in
+    job order, say from a pool. The table, and the error raised, do not
+    depend on ``parts``; at 1 the whole file is one range, scanned here.
     """
     path = Path(path)
     (start, end), *rest = _ranges(path, parts) if parts > 1 else [(0, None)]

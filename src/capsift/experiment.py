@@ -2,13 +2,13 @@
 
 Reads a flat key=value config, loads and filters every topic's captions, and
 parses each embedding table restricted to the words those captions use. Then
-for every (topic, embedding) unit it vectorizes the captions and draws one
-stratified split, and for every (topic, task, embedding) cell it balances
-the training side, sweeps the classifier suite and collects evaluation
-reports; top-T embedding scores come from those. All randomness is derived
-from the master seed per cell, so reruns are byte-identical, and the table
-scans and the cells may run in one pool of forked workers without changing
-any output.
+every (topic, embedding) becomes one ``Unit``: its vectorized captions, one
+stratified split that every task shares, and what was excluded or skipped on
+the way. For every (topic, task, embedding) cell it balances the unit's
+training side, sweeps the classifier suite and collects evaluation reports;
+top-T embedding scores come from those. All randomness is derived from the
+master seed per cell, so reruns are byte-identical, and the table scans and
+the cells may run in one pool of forked workers without changing any output.
 """
 
 from __future__ import annotations
@@ -404,16 +404,29 @@ def load_topic(
     return kept, load_skips + rejections, skipped
 
 
+@dataclass(frozen=True)
+class Unit:
+    """One (topic, embedding): the exclusions and skips logged preparing it
+    and, unless it is skipped whole, features, three-class labels and split."""
+
+    topic: str
+    embedding: str
+    exclusions: list[Exclusion]
+    skipped: list[SkippedCell]
+    features: np.ndarray | None = None
+    labels: np.ndarray | None = None
+    split: tuple[np.ndarray, np.ndarray] | None = None
+
+
 def prepare_unit(
     config: ExperimentConfig, topic: str, name: str, table: EmbeddingTable, kept,
-) -> tuple[tuple | None, list[Exclusion], list[SkippedCell]]:
+) -> Unit:
     """Vectorize one topic's kept captions against one embedding and draw
     the (topic, embedding)'s seeded split, which every task shares.
 
-    Returns (data, exclusions, skipped): data is ``run_cell``'s trailing
-    arguments (features, labels, train_idx, test_idx), or None when no
-    caption is covered or a class has fewer than 2 members, which skips the
-    whole (topic, embedding). Captions without coverage are exclusions.
+    Captions without coverage are the Unit's exclusions. When no caption is
+    covered or a class has fewer than 2 members, the whole (topic,
+    embedding) is skipped: the Unit holds that skip and no features.
     """
     rows, labels = [], []
     exclusions: list[Exclusion] = []
@@ -429,26 +442,25 @@ def prepare_unit(
         rows.append(cv.vector)
         labels.append(int(doc.record.label))
     if not rows:
-        return None, exclusions, [SkippedCell(
-            topic, "*", name, "*", "no caption had embedding coverage")]
+        return Unit(topic, name, exclusions, [SkippedCell(
+            topic, "*", name, "*", "no caption had embedding coverage")])
     y3 = np.array(labels, dtype=np.int64)
     classes3, counts3 = np.unique(y3, return_counts=True)
     if len(classes3) < 2 or counts3.min() < 2:
-        return None, exclusions, [SkippedCell(
+        return Unit(topic, name, exclusions, [SkippedCell(
             topic, "*", name, "*",
             f"class counts {dict(zip(classes3.tolist(), counts3.tolist()))} "
-            "too small to split")]
+            "too small to split")])
     split_seed = derive_seed(config.seed, topic, "split", name)
-    train_idx, test_idx = stratified_split(y3, config.test_fraction, split_seed)
-    return (np.vstack(rows), y3, train_idx, test_idx), exclusions, []
+    split = stratified_split(y3, config.test_fraction, split_seed)
+    return Unit(topic, name, exclusions, [], np.vstack(rows), y3, split)
 
 
 def run_cell(
-    config: ExperimentConfig, topic: str, task: str, name: str,
-    features: np.ndarray, labels: np.ndarray, train_idx: np.ndarray, test_idx: np.ndarray,
+    config: ExperimentConfig, unit: Unit, task: str,
 ) -> tuple[list[EvaluationReport], list[SkippedCell]]:
-    """Balance one (topic, task, embedding) cell with SMOTE, then train and
-    evaluate every configured algorithm on it (``labels`` are three-class).
+    """Balance the training side of one (topic, task, embedding) cell of
+    ``unit`` with SMOTE, then train and evaluate every configured algorithm.
 
     Returns (reports in sweep order, skipped). A training split with a
     single class, or with a class too small to balance, skips the whole
@@ -456,7 +468,8 @@ def run_cell(
     skipped alone; any other exception is a programming error and
     propagates.
     """
-    y = labels if task == TASK_THREE_CLASS else binarize_labels(labels)
+    topic, name, (train_idx, test_idx) = unit.topic, unit.embedding, unit.split
+    y = unit.labels if task == TASK_THREE_CLASS else binarize_labels(unit.labels)
     y_train, y_test = y[train_idx], y[test_idx]
     train_classes, train_counts = np.unique(y_train, return_counts=True)
     if len(train_classes) < 2:
@@ -466,9 +479,9 @@ def run_cell(
             topic, task, name, "*",
             "a training class has fewer than 2 samples; cannot balance")]
     smote_seed = derive_seed(config.seed, topic, task, name, "__smote__")
-    balanced = smote(features[train_idx], y_train,
+    balanced = smote(unit.features[train_idx], y_train,
                      k_neighbors=config.smote_k, seed=smote_seed)
-    X_test = features[test_idx]
+    X_test = unit.features[test_idx]
     eval_classes = np.unique(y)
     reports: list[EvaluationReport] = []
     skipped: list[SkippedCell] = []
@@ -539,16 +552,16 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
     skipped with a logged reason and the run continues. Any other exception
     is a programming error and propagates.
 
-    This process loads every topic, parses the tables, and vectorizes and
-    splits every (topic, embedding) unit; the (topic, task, embedding) cells
-    are then one list of ``run_cell`` jobs. With ``workers`` > 1 and a
-    ``fork`` start method, one pool of forked processes (``_fork_pool``)
-    scans each table in up to ``workers`` byte ranges and then runs the
-    cells. Results are taken in file or job order, so the result, and the
-    error raised, are the same at any worker count. Otherwise, and for a
-    map of fewer than 2 jobs, the work stays in this process. BLAS runs on
-    the threads numpy was started with, in the workers too;
-    ``capsift._startup`` has the rule the command line follows.
+    This process loads every topic, parses the tables, and prepares one
+    ``Unit`` per (topic, embedding), after one with the topic's load and
+    filter log; the cells of units with features are ``run_cell`` jobs,
+    collected unit by unit. With ``workers`` > 1 and a ``fork`` start
+    method, one pool of forked processes (``_fork_pool``) scans each table
+    in up to ``workers`` byte ranges and then runs the cells. Results are
+    taken in file or job order, so the result and the error raised are the
+    same at any worker count. Otherwise, and for a map of fewer than 2 jobs,
+    the work stays here. BLAS runs on the threads numpy was started with, in
+    the workers too; ``capsift._startup`` has the command line's rule.
     """
     if not _is_int(workers) or workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
@@ -562,29 +575,28 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
     vocab = {token for kept, _, _ in loaded for doc in kept for token in doc.tokens}
     if workers > 1 and not can_fork():
         workers = 1
-    # Each topic, then each of its (topic, embedding) units, is replayed as
-    # (exclusions, skips, number of cell jobs), so exclusions.log stays in
-    # topic order and every skip follows those of the units before it.
-    jobs, replay = [], []
+    # Each topic's load and filter log, as a Unit with embedding "*" and no
+    # features, then each of its (topic, embedding) units, so exclusions.log
+    # stays in topic order and every skip follows those of the units before it.
+    units: list[Unit] = []
     with _fork_pool(workers) as fork_map:
         parsed = [parse_embedding_file(path, vocab, workers, fork_map)
                   for _, path in config.embeddings]
         for topic, (kept, topic_exclusions, topic_skips) in zip(config.topics, loaded):
-            replay.append((topic_exclusions, topic_skips, 0))
-            for (name, _), table in zip(config.embeddings, parsed) if kept else ():
-                data, unit_exclusions, unit_skips = prepare_unit(config, topic, name, table, kept)
-                cells = [] if data is None else [
-                    (config, topic, task, name, *data) for task in config.tasks()]
-                replay.append((unit_exclusions, unit_skips, len(cells)))
-                jobs += cells
+            units.append(Unit(topic, "*", topic_exclusions, topic_skips))
+            units += [prepare_unit(config, topic, name, table, kept)
+                      for (name, _), table in zip(config.embeddings, parsed) if kept]
+        jobs = [(config, unit, task) for unit in units if unit.features is not None
+                for task in config.tasks()]
         results = iter(fork_map(run_cell, jobs))
     reports: list[EvaluationReport] = []
     exclusions: list[Exclusion] = []
     skipped: list[SkippedCell] = []
-    for group_exclusions, group_skips, n_cells in replay:
-        exclusions += group_exclusions
-        skipped += group_skips
-        for cell_reports, cell_skips in itertools.islice(results, n_cells):
+    for unit in units:
+        exclusions += unit.exclusions
+        skipped += unit.skipped
+        for _ in config.tasks() if unit.features is not None else ():
+            cell_reports, cell_skips = next(results)
             reports += cell_reports
             skipped += cell_skips
 

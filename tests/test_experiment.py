@@ -568,12 +568,12 @@ def prepared_splits(config, monkeypatch):
         kept, _ = filter_corpus(documents)
         for name, path in config.embeddings:
             table = parse_embedding_file(path)
-            (_, labels, train_idx, test_idx), _, _ = prepare_unit(config, topic, name, table, kept)
+            unit = prepare_unit(config, topic, name, table, kept)
             splits[topic, name] = prepared = drawn.pop()
             assert not drawn
             # the unit hands run_cell the split it drew
-            assert labels is prepared.labels
-            assert train_idx is prepared.train_idx and test_idx is prepared.test_idx
+            assert unit.labels is prepared.labels
+            assert unit.split[0] is prepared.train_idx and unit.split[1] is prepared.test_idx
     return splits
 
 
@@ -647,10 +647,10 @@ def test_single_cell_reproduces_its_rows_of_the_full_sweep(fixture_run, fixture_
     kept, _ = filter_corpus(documents)
     table = parse_embedding_file(dict(fixture_config.embeddings)[name])
     config = dataclasses.replace(fixture_config, task=task)
-    data, exclusions, skipped = prepare_unit(config, topic, name, table, kept)
-    assert [e.video_id for e in exclusions] == ["moon_oov"]
-    assert not skipped
-    reports, skipped = run_cell(config, topic, task, name, *data)
+    unit = prepare_unit(config, topic, name, table, kept)
+    assert [e.video_id for e in unit.exclusions] == ["moon_oov"]
+    assert not unit.skipped
+    reports, skipped = run_cell(config, unit, task)
     assert not skipped
     assert [r.model for r in reports] == list(fixture_config.algorithms)
     expected = [r for r in fixture_run.reports
@@ -1417,10 +1417,11 @@ def test_skips_follow_unit_then_cell_order(tmp_path, monkeypatch, workers):
     # after it, at any worker count. "tiny" covers only the words of labels
     # -1 and 0, so moon's label-1 captions drop out of its (moon, tiny) unit,
     # which is then left with one class. gaussian_nb fails in every cell that
-    # trains.
+    # trains. 911 has no manifest rows, so its topic-wide skip comes last.
     cfg = write_tiny_corpus(tmp_path, {
         "vaccines": [-1] * 6 + [0] * 6,            # binary task has one class
         "moon": [-1] * 6 + [1] * 6,
+        "911": [],
     })
     words = _CLASS_WORDS[-1] + _CLASS_WORDS[0]
     (tmp_path / "tiny.txt").write_text("".join(
@@ -1441,6 +1442,7 @@ def test_skips_follow_unit_then_cell_order(tmp_path, monkeypatch, workers):
         ("moon", "*", "tiny", "*", "class counts {-1: 6} too small to split"),
         ("moon", TASK_THREE_CLASS, "toy16", "gaussian_nb", nb_failed),
         ("moon", TASK_BINARY, "toy16", "gaussian_nb", nb_failed),
+        ("911", "*", "*", "*", "no manifest rows for topic"),
     ]
     assert [dataclasses.astuple(s) for s in result.skipped] == expected
     emit_report(result)
