@@ -13,7 +13,6 @@ text first.
 from __future__ import annotations
 
 import itertools
-import math
 import os
 from collections.abc import Container
 from dataclasses import dataclass
@@ -87,6 +86,10 @@ _OTHER_WHITESPACE = (
 )
 _NON_ASCII_WHITESPACE = [c.encode() for c in _OTHER_WHITESPACE if not c.isascii()]
 _BLOCK_CHARS = 1 << 16  # bytes per read
+# The features are means of table rows, and SMOTE's neighbour distances, the
+# scalers' variances and the centroid distances sum squares of them over up
+# to hundreds of components: at this bound those sums stay finite in float64.
+_MAX_COMPONENT = 1e150
 
 
 def _line_ends(data: bytes, dim: int) -> np.ndarray | None:
@@ -131,9 +134,11 @@ def _line_ends(data: bytes, dim: int) -> np.ndarray | None:
     return ends
 
 
-def _blocks(fh, size):
+def _blocks(fh, size: int):
     """Yield the next ``size`` bytes of the binary file ``fh``, checked as
-    UTF-8, in blocks of whole lines that stay bytes.
+    UTF-8, in blocks of whole lines that stay bytes: a read of
+    ``_BLOCK_CHARS`` bytes, finished by a ``readline`` of the rest of its
+    last line within the ``size`` bytes.
 
     Every block but the last ends with "\n"; "\r\n" and "\r" become "\n"
     as in a text-mode read (so a CRLF table's blocks can pass
@@ -141,18 +146,13 @@ def _blocks(fh, size):
     the whole text's. Bytes that are not UTF-8 raise ``_NotUtf8`` once every
     whole line before the line that holds them was yielded.
     """
-    pending: list[bytes] = []
-    offset = fh.tell()  # of pending's first byte in the file
-    while size > 0 and (chunk := fh.read(min(_BLOCK_CHARS, size))):
-        size -= len(chunk)
-        cut = chunk.rfind(b"\n") + 1
-        if cut:
-            data = b"".join(pending) + chunk[:cut]
-            yield from _checked(data, offset)
-            offset += len(data)
-            pending = []
-        pending.append(chunk[cut:])
-    yield from _checked(b"".join(pending), offset)
+    offset = fh.tell()  # of the block's first byte in the file
+    while size > 0 and (data := fh.read(min(_BLOCK_CHARS, size))):
+        if not data.endswith(b"\n"):
+            data += fh.readline(size - len(data))
+        size -= len(data)
+        yield from _checked(data, offset)
+        offset += len(data)
 
 
 class _NotUtf8(Exception):
@@ -210,13 +210,12 @@ class _Scan:
     header: int | None
 
 
-def _scan(path: Path, start: int, end: int | None, vocab: Container[str] | None,
+def _scan(path: Path, start: int, end: int, vocab: Container[str] | None,
           dim: int | None) -> _Scan:
-    """Scan the bytes ``start:end`` of the file (to its end when ``end`` is
-    None), which start a line. A range that starts the file passes ``dim``
-    None, and its first line sets it or is a word2vec header; any other
-    range passes the dimension its file's first line set. The scan stops at
-    the range's first error.
+    """Scan the bytes ``start:end`` of the file, a range of ``_ranges``.
+    The first range, the file's first line, passes ``dim`` None, and that
+    line sets it or is a word2vec header; every other range passes the
+    dimension the first one set. The scan stops at the range's first error.
 
     Blocks come as bytes. With a ``vocab`` and a known dimension, each is
     first checked whole by ``_line_ends``, which counts each line's spaces
@@ -235,7 +234,7 @@ def _scan(path: Path, start: int, end: int | None, vocab: Container[str] | None,
     try:
         with open(path, "rb") as fh:
             fh.seek(start)
-            for block in _blocks(fh, math.inf if end is None else end - start):
+            for block in _blocks(fh, end - start):
                 first = line_no
                 ends = _line_ends(block, dim) if vocab is not None and dim is not None else None
                 if ends is not None:
@@ -273,8 +272,10 @@ def _scan(path: Path, start: int, end: int | None, vocab: Container[str] | None,
                         vector = np.array(parts[1:], dtype=np.float64)
                     except ValueError as exc:
                         raise _LineError(f"non-numeric component ({exc})") from None
-                    if not np.isfinite(vector).all():
-                        raise _LineError("non-finite component")
+                    if not abs(vector).max() <= _MAX_COMPONENT:  # NaN compares False
+                        raise _LineError(
+                            "non-finite component" if not np.isfinite(vector).all()
+                            else f"component magnitude above {_MAX_COMPONENT:g}")
                     kept.setdefault(word, vector)
                 line_no = first + lines
     except _LineError as exc:
@@ -335,63 +336,56 @@ def parse_embedding_file(
     but its first occurrence is the one kept.
 
     ``vocab`` (a set of lowercase words) restricts the table to its words,
-    as gensim's ``load_word2vec_format(limit=...)`` restricts it to the first
-    ones. The empty-line, component-count and word2vec header-count checks
-    still run on every line, but only lines whose word is in ``vocab`` are
-    converted to floats and checked for non-numeric and non-finite
-    components. With ``vocab`` None every line is kept. The file is read in
-    blocks of bytes, so memory follows the kept rows, not the file; a block
-    is decoded to check it only when it is not ASCII. The lines of a block
-    are checked at once, in a few numpy passes over its bytes, for the
-    table's shape (single spaces, the right count, each line's spaces
-    counted in one byte below 256 components), which also finds each
-    line's end; in a block that passes, each line's word alone is cut out
-    at those offsets and decoded, and only the lines whose word is in
-    ``vocab`` are decoded and split. Only a block that fails (any block
-    when ``vocab`` is None) is decoded whole, and each line ``split()`` to
-    find the malformed one. Of a malformed line and bytes that are not
-    UTF-8, the first in the file is reported, the bytes by their position
-    in the file.
+    as gensim's ``load_word2vec_format(limit=...)`` restricts it to the
+    first ones. The empty-line, component-count and word2vec header-count
+    checks still run on every line, but only lines whose word is in
+    ``vocab`` are converted to floats and checked for non-numeric,
+    non-finite and out-of-range components (magnitude above 1e150). With
+    ``vocab`` None every line is kept. The file is read in blocks of bytes,
+    so memory follows the kept rows, not the file; a block is decoded to
+    check it only when it is not ASCII. The lines of a block are checked at
+    once, in a few numpy passes over its bytes, for the table's shape
+    (single spaces, the right count, each line's spaces counted in one byte
+    below 256 components), which also finds each line's end; in a block that
+    passes, each line's word alone is cut out at those offsets and decoded,
+    and only the lines whose word is in ``vocab`` are decoded and split.
+    Only a block that fails (any block when ``vocab`` is None) is decoded
+    whole, and each line ``split()`` to find the malformed one. Of a
+    malformed line and bytes that are not UTF-8, the first in the file is
+    reported, the bytes by their position in the file.
 
-    With ``parts`` > 1 the file is split into byte ranges (``_ranges``):
-    its first line, scanned here, then up to ``parts`` others, for which
-    ``map_scans(_scan, jobs)`` must return the ``_scan(*job)`` results in
-    job order, say from a pool. The table, and the error raised, do not
-    depend on ``parts``; at 1 the whole file is one range, scanned here.
+    The file is scanned in byte ranges of whole lines (``_ranges``): its
+    first line, scanned here, then the rest, in one range at ``parts`` 1
+    and up to ``parts`` ranges otherwise, for which ``map_scans(_scan,
+    jobs)`` must return the ``_scan(*job)`` results in job order, say from
+    a pool. The table, and the error raised, do not depend on ``parts``.
     """
     path = Path(path)
-    (start, end), *rest = _ranges(path, parts) if parts > 1 else [(0, None)]
+    (start, end), *rest = _ranges(path, parts)
     head = _scan(path, start, end, vocab, None)
     jobs = [] if head.error else [(path, a, b, vocab, head.dim) for a, b in rest]
     return _table(path, [head, *map_scans(_scan, jobs)])
 
 
-def _line_end(fh, pos: int) -> int:
-    """The offset just after the first "\n" at or after ``pos``, or the
-    end of the file."""
-    fh.seek(pos)
-    while chunk := fh.read(_BLOCK_CHARS):
-        found = chunk.find(b"\n")
-        if found >= 0:
-            return pos + found + 1
-        pos += len(chunk)
-    return pos
-
-
-def _ranges(path: Path, parts: int) -> list[tuple[int, int | None]]:
-    """The byte ranges a table is scanned in: its first line, then up to
-    ``parts`` ranges of about equal size, each ending just after a "\n".
-    A file smaller than one block, or one that cannot be read, is one range."""
+def _ranges(path: Path, parts: int) -> list[tuple[int, int]]:
+    """The byte ranges a table is scanned in: its first line, then the rest
+    of the file, as one range when ``parts`` is 1 or the file is smaller
+    than one block, else as up to ``parts`` ranges of about equal size.
+    Each ends just after a "\n" (found by ``readline``) or at the file's
+    end. A file that cannot be read is one empty range, whose scan reports
+    the error."""
     try:
         with open(path, "rb") as fh:
+            head = len(fh.readline())
             size = os.fstat(fh.fileno()).st_size
-            if size < _BLOCK_CHARS:
-                return [(0, None)]
-            head = _line_end(fh, 0)
-            cuts = {_line_end(fh, head + (size - head) * k // parts) for k in range(1, parts)}
+            cuts = {size}
+            for k in range(1, parts if size >= _BLOCK_CHARS else 1):
+                fh.seek(head + (size - head) * k // parts)
+                fh.readline()
+                cuts.add(fh.tell())
     except OSError:
-        return [(0, None)]
-    bounds = [0, *sorted({head, size} | cuts)]
+        return [(0, 0)]
+    bounds = [0, head, *sorted(cuts)]
     return list(zip(bounds, bounds[1:]))
 
 

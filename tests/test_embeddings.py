@@ -4,6 +4,7 @@ import io
 import math
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,9 @@ from hypothesis import strategies as st
 
 import capsift.embeddings
 from helpers import make_table, traced_peak
+from capsift.classifiers import ALGORITHMS, AlgorithmSpec, train
 from capsift.embeddings import (
+    _MAX_COMPONENT,
     _OTHER_WHITESPACE,
     GLOVE_TEXT,
     WORD2VEC_TEXT,
@@ -24,6 +27,7 @@ from capsift.embeddings import (
     vectorize_caption,
     write_embedding_file,
 )
+from capsift.oversampling import smote
 
 
 def write(tmp_path, text, name="emb.txt"):
@@ -69,6 +73,7 @@ PARSE_ERRORS = [
     ("hello 1.0 2.0\nworld 3.0 abc\n", 2, "non-numeric"),
     ("hello 1.0 2.0\nworld 3.0 inf\n", 2, "non-finite"),
     ("hello 1.0 2.0\nworld 3.0 nan\n", 2, "non-finite"),
+    ("hello 1.0 2.0\nworld 3.0 -1e300\n", 2, "magnitude above 1e+150"),
     ("3 2\nhello 1 2\nworld 3 4\n", None, "header"),
     ("2 2\nhello 1 2\nworld 3 4\nextra 5 6\n", None, "header"),
     ("hello 1.0\n\nworld 2.0\n", 2, "empty line"),
@@ -106,7 +111,7 @@ def test_restricted_parse_errors_are_located(tmp_path, text, line_no, fragment):
     # The offending line's word is used, then unused. Only the numeric
     # checks depend on it: they run on kept lines alone.
     assert parse_outcome(path, words) == parse_outcome(path)
-    if fragment in ("non-numeric", "non-finite"):
+    if fragment in ("non-numeric", "non-finite", "magnitude above 1e+150"):
         assert parse_outcome(path, words - bad) == {"hello": [1.0, 2.0]}
     else:
         assert parse_outcome(path, words - bad) == parse_outcome(path)
@@ -116,7 +121,8 @@ def reference_outcome(path, vocab=None):
     """``parse_outcome`` of a parse restricted to ``vocab`` (None: every
     word), computed from the whole text's ``splitlines()`` and one
     ``split()`` per line; only the lines whose word is in ``vocab`` are
-    converted and checked for non-numeric and non-finite components."""
+    converted and checked for non-numeric, non-finite and out-of-range
+    components."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -152,6 +158,8 @@ def reference_outcome(path, vocab=None):
             return f"line {line_no}: non-numeric component ({exc})"
         if not all(map(math.isfinite, vector)):
             return f"line {line_no}: non-finite component"
+        if max(map(abs, vector)) > 1e150:
+            return f"line {line_no}: component magnitude above 1e+150"
         vectors.setdefault(word, vector)
     if header and int(first[0]) != len(data):
         return f"word2vec header declares {first[0]} words but file has {len(data)}"
@@ -321,12 +329,6 @@ def test_non_utf8_position_counts_from_file_start(tmp_path):
             parse_embedding_file(path, vocab=vocab)
 
 
-def test_missing_file():
-    with pytest.raises(EmbeddingFormatError, match="absent"):
-        parse_embedding_file("/nonexistent/absent.txt")
-
-
-
 # --- scanning in byte ranges ---------------------------------------------------
 # parse_embedding_file(..., parts, map_scans) scans a table's ranges through
 # the map it is given; here that map runs them in this process.
@@ -357,11 +359,23 @@ def serial_outcome(path, vocab=None):
     return table_outcome(lambda: parse_embedding_file(path, vocab))
 
 
+@pytest.mark.parametrize("parts", RANGE_COUNTS)
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_missing_file(tmp_path, kind, parts):
+    # the first line's scan, in this process, opens the file and reports it
+    if kind == "missing":
+        path, error = tmp_path / "absent.txt", "[Errno 2] No such file or directory"
+    else:
+        path, error = tmp_path, "[Errno 21] Is a directory"
+    with pytest.raises(EmbeddingFormatError) as err:
+        parse_embedding_file(path, {"w"}, parts, in_process)
+    assert str(err.value) == f"cannot read embedding file: {error}: '{path}'"
+
+
 def line_of_range(path, parts, line_no):
     """The index of the range that holds line ``line_no`` (counted by "\n")."""
     offset = sum(len(line) for line in path.read_bytes().splitlines(keepends=True)[:line_no - 1])
-    return next(i for i, (start, end) in enumerate(_ranges(path, parts))
-                if start <= offset and (end is None or offset < end))
+    return next(i for i, (start, end) in enumerate(_ranges(path, parts)) if start <= offset < end)
 
 
 @given(st.lists(embedding_lines(), max_size=4), st.booleans(),
@@ -395,13 +409,12 @@ def test_ranges_cover_the_file_in_whole_lines(tmp_path, monkeypatch, parts):
     assert [end for _, end in ranges[:-1]] == [start for start, _ in ranges[1:]]
     assert ranges[-1][1] == len(data)
     assert all(data[end - 1:end] == b"\n" for _, end in ranges)
-    # a file smaller than one block is one range
+    # in a file smaller than one block, the first line and then the rest
     monkeypatch.setattr(capsift.embeddings, "_BLOCK_CHARS", len(data) + 1)
-    assert _ranges(path, parts) == [(0, None)]
+    assert _ranges(path, parts) == [(0, ranges[0][1]), (ranges[0][1], len(data))]
 
 
-def test_one_part_scans_the_whole_file_here_and_more_parts_map_the_ranges(
-        tmp_path, monkeypatch):
+def test_the_first_line_is_scanned_here_and_the_other_ranges_mapped(tmp_path, monkeypatch):
     monkeypatch.setattr(capsift.embeddings, "_BLOCK_CHARS", 64)
     path = write(tmp_path, "\n".join(numbered_lines(200)) + "\n")
     scanned, mapped = [], []
@@ -416,12 +429,14 @@ def test_one_part_scans_the_whole_file_here_and_more_parts_map_the_ranges(
         return in_process(fn, jobs)
 
     monkeypatch.setattr(capsift.embeddings, "_scan", scan)
-    one = parse_embedding_file(path, {"w3", "w150"}, 1, map_scans)
-    assert (scanned, mapped) == ([(0, None)], [[]])
-    scanned.clear(), mapped.clear()
-    three = parse_embedding_file(path, {"w3", "w150"}, 3, map_scans)
-    ranges = _ranges(path, 3)
-    assert (scanned, mapped) == (ranges, [ranges[1:]])
+    tables = []
+    for parts in (1, 3):
+        scanned.clear(), mapped.clear()
+        tables.append(parse_embedding_file(path, {"w3", "w150"}, parts, map_scans))
+        ranges = _ranges(path, parts)
+        assert len(ranges) == 1 + parts
+        assert (scanned, mapped) == (ranges, [ranges[1:]])
+    one, three = tables
     assert one.index == three.index and one.matrix.tobytes() == three.matrix.tobytes()
 
 
@@ -470,6 +485,38 @@ def test_range_scan_checks_the_word2vec_header_count(tmp_path, monkeypatch, part
     rows, source_format, _ = ranged_outcome(path, {"w7", "w170"}, parts)
     assert source_format == WORD2VEC_TEXT
     assert rows == [("w7", [7.0, 7.1]), ("w170", [170.0, 170.1])]
+
+
+@pytest.mark.parametrize("parts", [1, 2])
+def test_kept_components_beyond_the_bound_fail_on_their_line(tmp_path, monkeypatch, parts):
+    monkeypatch.setattr(capsift.embeddings, "_BLOCK_CHARS", 64)
+    lines = numbered_lines(200)
+    lines[149] = "w149 1e300 1.0"
+    path = write(tmp_path, "\n".join(lines) + "\n")
+    assert line_of_range(path, parts, 150) == parts  # the last range, a mapped one
+    for vocab in (None, {"w3", "w149"}):
+        assert ranged_outcome(path, vocab, parts) == "line 150: component magnitude above 1e+150"
+    # as with a non-finite component, an unused line's components are not converted
+    assert ranged_outcome(path, {"w3"}, parts)[0] == [("w3", [3.0, 3.1])]
+    # the bound itself is kept
+    lines[149] = f"w149 {_MAX_COMPONENT!r} {-_MAX_COMPONENT!r}"
+    path = write(tmp_path, "\n".join(lines) + "\n")
+    assert ranged_outcome(path, {"w149"}, parts)[0] == [("w149", [1e150, -1e150])]
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_features_at_the_component_bound_train_and_score_finitely(algo):
+    # Sums of squares of features at the bound (SMOTE's distances, the
+    # scalers' variances, centroid distances) stay finite in float64.
+    rng = np.random.Generator(np.random.PCG64(13))
+    X = rng.choice([-_MAX_COMPONENT, _MAX_COMPONENT], size=(40, 300))
+    y = np.repeat([-1, 0, 1], [20, 12, 8])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow warning fails the test
+        balanced = smote(X, y, k_neighbors=5, seed=1)
+        model = train(AlgorithmSpec(algo, seed=2), balanced.features, balanced.labels)
+        scores = model.predict_scores(X)
+    assert np.isfinite(balanced.features).all() and np.isfinite(scores).all()
 
 
 @pytest.mark.parametrize("parts", RANGE_COUNTS)
@@ -535,9 +582,11 @@ def test_blocks_end_every_line_with_a_newline(monkeypatch, block_chars):
     # as a text-mode read does, so a CRLF table's blocks can pass the block
     # check; the blocks stay bytes, a valid non-ASCII line's too
     monkeypatch.setattr(capsift.embeddings, "_BLOCK_CHARS", block_chars)
-    data = b"a 1\r\nb 2\rc 3\n\r\nd 4\r" + "café 1\r\n".encode()
-    blocks = list(_blocks(io.BytesIO(data), math.inf))
-    assert b"".join(blocks) == b"a 1\nb 2\nc 3\n\nd 4\n" + "café 1\n".encode()
+    long = b"w" + b" 1" * (1 << 16)  # longer than a block, at every block size
+    data = b"a 1\r\nb 2\rc 3\n\r\nd 4\r" + "café 1\r\n".encode() + long + b"\r\ne 5\n"
+    blocks = list(_blocks(io.BytesIO(data), len(data)))
+    assert b"".join(blocks) == (b"a 1\nb 2\nc 3\n\nd 4\n" + "café 1\n".encode()
+                                + long + b"\ne 5\n")
     assert all(block.endswith(b"\n") for block in blocks)
     assert b"".join(_blocks(io.BytesIO(data), 9)) == b"a 1\nb 2\n"  # a range's bytes only
 

@@ -850,9 +850,20 @@ def _spy_on_scan(monkeypatch, log: Path) -> Path:
     return log
 
 
-def _scans(log: Path) -> list[tuple[int, int, int | None]]:
+def _scans(log: Path) -> list[tuple[int, int, int]]:
     rows = [line.split() for line in log.read_text(encoding="utf-8").splitlines()]
-    return [(int(pid), int(start), None if end == "None" else int(end)) for pid, start, end in rows]
+    return [(int(pid), int(start), int(end)) for pid, start, end in rows]
+
+
+def _scans_here(config) -> list[tuple[int, int, int]]:
+    """Per table of ``config``, the scans of its first line and of the rest
+    in this process."""
+    scans = []
+    for _, path in config.embeddings:
+        data = path.read_bytes()
+        head = data.index(b"\n") + 1
+        scans += [(os.getpid(), 0, head), (os.getpid(), head, len(data))]
+    return scans
 
 
 def test_pool_runs_serially_without_fork(fixture_config, fixture_run, monkeypatch, tmp_path):
@@ -862,7 +873,7 @@ def test_pool_runs_serially_without_fork(fixture_config, fixture_run, monkeypatc
     monkeypatch.setattr(capsift.embeddings, "_BLOCK_CHARS", 1024)  # tables big enough to split
     assert run_experiment(fixture_config, workers=2).reports == fixture_run.reports
     assert _pids(train_log) == [os.getpid()] * 56
-    assert _scans(log) == [(os.getpid(), 0, None)] * 2  # each table one range, in this process
+    assert _scans(log) == _scans_here(fixture_config)  # each table two ranges, in this process
 
 
 def test_pool_scans_a_table_smaller_than_a_block_in_this_process(
@@ -871,7 +882,7 @@ def test_pool_scans_a_table_smaller_than_a_block_in_this_process(
     assert max(sizes) < capsift.embeddings._BLOCK_CHARS
     log = _spy_on_scan(monkeypatch, tmp_path / "scans.log")
     assert run_experiment(fixture_config, workers=2).reports == fixture_run.reports
-    assert _scans(log) == [(os.getpid(), 0, None)] * 2
+    assert _scans(log) == _scans_here(fixture_config)
 
 
 def test_pool_scans_split_tables_in_workers_to_the_serial_result(
@@ -1326,6 +1337,41 @@ def test_python_m_capsift_run_writes_the_pinned_outputs_without_warnings(module,
     assert done.stderr == ""
     for name in ("reports.csv", "embedding_scores.csv", "best_models.md", "exclusions.log"):
         assert (tmp_path / name).read_bytes() == (EXPECTED / name).read_bytes(), name
+
+
+def test_python_m_capsift_run_scans_a_table_past_one_block_without_warnings(tmp_path):
+    # The fixture's tables are each under one block, so the run above maps
+    # no range. Here the GloVe table is padded past one block, after its
+    # first line, with lines whose words hold digits, which no caption token
+    # does: the pooled run scans the ranges after the first line in
+    # workers, the words in use among them, and keeps the same rows.
+    root = Path(__file__).parents[1]
+    table = tmp_path / "toy16_padded.txt"
+    first, rest = (FIXTURES / "embeddings" / "toy16_glove.txt").read_text(
+        encoding="utf-8").split("\n", 1)
+    padding = "".join(f"pad{i} " + " ".join(["0.5"] * 16) + "\n" for i in range(1_000))
+    table.write_text(first + "\n" + padding + rest, encoding="utf-8")
+    assert table.stat().st_size > capsift.embeddings._BLOCK_CHARS
+    config = []  # the fixture config, its paths made absolute, toy16 the padded copy
+    for line in (FIXTURES / "experiment.cfg").read_text(encoding="utf-8").splitlines():
+        key, _, value = line.partition(" = ")
+        if key in ("manifest", "captions_root", "embedding.toy8"):
+            line = f"{key} = {FIXTURES / value}"
+        elif key == "embedding.toy16":
+            line = f"{key} = {table}"
+        config.append(line + "\n")
+    (tmp_path / "padded.cfg").write_text("".join(config), encoding="utf-8")
+    paths = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    out = tmp_path / "out"
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "capsift", "run",
+         "--config", str(tmp_path / "padded.cfg"), "--out", str(out)],
+        cwd=root, capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    for name in ("reports.csv", "embedding_scores.csv", "best_models.md", "exclusions.log"):
+        assert (out / name).read_bytes() == (EXPECTED / name).read_bytes(), name
 
 
 _CLASS_WORDS = {
