@@ -12,6 +12,7 @@ text first.
 
 from __future__ import annotations
 
+import codecs
 import itertools
 import os
 from collections.abc import Container
@@ -333,7 +334,8 @@ def parse_embedding_file(
     taken as a word2vec header, anything else as GloVe. The dimension is
     inferred from the first data line (or the header) and enforced on every
     line. Words are lowercased on load. A repeated word is still checked,
-    but its first occurrence is the one kept.
+    but its first occurrence is the one kept. A leading UTF-8 byte-order
+    mark is skipped.
 
     ``vocab`` (a set of lowercase words) restricts the table to its words,
     as gensim's ``load_word2vec_format(limit=...)`` restricts it to the
@@ -372,11 +374,13 @@ def _ranges(path: Path, parts: int) -> list[tuple[int, int]]:
     of the file, as one range when ``parts`` is 1 or the file is smaller
     than one block, else as up to ``parts`` ranges of about equal size.
     Each ends just after a "\n" (found by ``readline``) or at the file's
-    end. A file that cannot be read is one empty range, whose scan reports
-    the error."""
+    end. The first starts after a leading UTF-8 byte-order mark, so line
+    numbers and byte positions stay the file's own. A file that cannot be
+    read is one empty range, whose scan reports the error."""
     try:
         with open(path, "rb") as fh:
-            head = len(fh.readline())
+            first = fh.readline()
+            head = len(first)
             size = os.fstat(fh.fileno()).st_size
             cuts = {size}
             for k in range(1, parts if size >= _BLOCK_CHARS else 1):
@@ -385,7 +389,8 @@ def _ranges(path: Path, parts: int) -> list[tuple[int, int]]:
                 cuts.add(fh.tell())
     except OSError:
         return [(0, 0)]
-    bounds = [0, head, *sorted(cuts)]
+    bounds = [len(codecs.BOM_UTF8) if first.startswith(codecs.BOM_UTF8) else 0,
+              head, *sorted(cuts)]
     return list(zip(bounds, bounds[1:]))
 
 

@@ -112,6 +112,7 @@ class ExperimentConfig:
             value = getattr(self, name)
             if isinstance(value, str) or not isinstance(value, Iterable):
                 raise ConfigError(f"{name} must be a sequence, got {value!r}")
+            object.__setattr__(self, name, tuple(value))  # a one-shot iterator is read once
         if not isinstance(self.hyperparams, dict):
             raise ConfigError(f"hyperparams must be a dict, got {self.hyperparams!r}")
         for name, value in (("smote_k", self.smote_k), ("seed", self.seed),
@@ -511,37 +512,28 @@ def run_cell(
 @contextlib.contextmanager
 def _fork_pool(workers: int):
     """Yield ``fork_map(fn, jobs)`` = ``[fn(*job) for job in jobs]``, run
-    here for 1 worker or fewer than 2 jobs, else in one pool of forked
-    workers, started at the first such map with ``min(workers, len(jobs))``
-    workers and shut down when the block ends, on error too. ``fn`` (a
-    module-level function), jobs and results are pickled. A worker's
-    exception, or its death (BrokenProcessPool), is raised by the map."""
-    executor = None
+    here for 1 worker or fewer than 2 jobs, else in one pool of ``workers``
+    forked processes. The pool forks them all at its first map of at least
+    2 jobs (none if no map has that many) and shuts down when the block
+    ends, on error too. ``fn`` (a module-level function), jobs and results
+    are pickled. A worker's exception, or its death (BrokenProcessPool), is
+    raised by the map."""
+    if workers == 1:
+        yield lambda fn, jobs: [fn(*job) for job in jobs]
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-    def fork_map(fn, jobs: list) -> list:
-        nonlocal executor
-        if workers == 1 or len(jobs) < 2:
-            return [fn(*job) for job in jobs]
-        if executor is None:
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
+    # The workers fork before this process's first split, and a split's or
+    # a cell's np.unique and random generator import numpy.ma and
+    # numpy.random on first use: import them here, once, not in every
+    # worker (about 17 ms of CPU each).
+    import numpy.ma  # noqa: F401
+    import numpy.random  # noqa: F401
 
-            # The workers fork before this process's first split, and a
-            # split's or a cell's np.unique and random generator import
-            # numpy.ma and numpy.random on first use: import them here, once,
-            # not in every worker (about 17 ms of CPU each).
-            import numpy.ma  # noqa: F401
-            import numpy.random  # noqa: F401
-
-            executor = ProcessPoolExecutor(min(workers, len(jobs)),
-                                           multiprocessing.get_context("fork"))
-        return list(executor.map(fn, *zip(*jobs)))
-
-    try:
-        yield fork_map
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as executor:
+        yield lambda fn, jobs: ([fn(*job) for job in jobs] if len(jobs) < 2
+                                else list(executor.map(fn, *zip(*jobs))))
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
@@ -556,8 +548,9 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
     ``Unit`` per (topic, embedding), after one with the topic's load and
     filter log; the cells of units with features are ``run_cell`` jobs,
     collected unit by unit. With ``workers`` > 1 and a ``fork`` start
-    method, one pool of forked processes (``_fork_pool``) scans each table
-    in up to ``workers`` byte ranges and then runs the cells. Results are
+    method, one pool of ``workers`` forked processes (``_fork_pool``),
+    forked at the first map of at least 2 jobs, scans each table in up to
+    ``workers`` byte ranges and then runs the cells. Results are
     taken in file or job order, so the result and the error raised are the
     same at any worker count. Otherwise, and for a map of fewer than 2 jobs,
     the work stays here. BLAS runs on the threads numpy was started with, in

@@ -472,6 +472,30 @@ def test_range_scan_numbers_a_malformed_last_line_from_the_file_start(
             assert serial_outcome(path, vocab) == message
 
 
+@pytest.mark.parametrize("parts", [1, 2])
+@pytest.mark.parametrize("header", ["", "200 2\n"])
+def test_a_leading_byte_order_mark_is_skipped(tmp_path, monkeypatch, parts, header):
+    monkeypatch.setattr(capsift.embeddings, "_BLOCK_CHARS", 64)
+    lines = numbered_lines(200)
+    lines[0] = "the 0.5 1.5"
+    text = header + "\n".join(lines) + "\n"
+    plain = write(tmp_path, text, "plain.txt")
+    marked = write(tmp_path, "\ufeff" + text, "marked.txt")
+    assert len(_ranges(marked, parts)) == 1 + parts
+    for vocab in (None, {"the", "w150"}):
+        outcome = ranged_outcome(marked, vocab, parts)
+        assert outcome == ranged_outcome(plain, vocab, parts)
+        assert dict(outcome[0])["the"] == [0.5, 1.5]
+    # a malformed line keeps its number, and bytes not UTF-8 their position in the file
+    last = 201 + bool(header)
+    for path in (plain, marked):
+        path.write_bytes(path.read_bytes() + b"bad 1.0\n")
+        assert ranged_outcome(path, {"the"}, parts) == f"line {last}: expected 2 components, got 1"
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode() + b"caf\xe9 1.0 2.0\n")
+    position = 3 + len(text) + 3
+    assert f"byte 0xe9 in position {position}:" in ranged_outcome(marked, {"the"}, parts)
+
+
 @pytest.mark.parametrize("parts", RANGE_COUNTS)
 @pytest.mark.parametrize("declared", [199, 201])
 def test_range_scan_checks_the_word2vec_header_count(tmp_path, monkeypatch, parts, declared):

@@ -288,6 +288,19 @@ def test_config_validation(overrides, fragment):
         base_config(**overrides)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("embeddings", (("e", Path("e.txt")), ("f", Path("f.txt")))),
+    ("topics", ("moon", "vaccines")),
+    ("algorithms", ("knn", "gaussian_nb")),
+    ("t_values", (3, 7)),
+])
+def test_list_tuple_and_iterator_containers_build_equal_configs(name, value):
+    configs = [base_config(**{name: form(value)}) for form in (tuple, list, iter)]
+    assert configs[0] == configs[1] == configs[2]
+    assert all(isinstance(getattr(config, name), tuple) for config in configs)
+    assert len({config_fingerprint(config) for config in configs}) == 1
+
+
 def test_sweep_always_ends_with_dummy():
     cfg = base_config(algorithms=("knn", "gaussian_nb"))
     assert cfg.algorithms == ("knn", "gaussian_nb", DUMMY)
@@ -1039,6 +1052,39 @@ def test_one_pool_serves_the_whole_run(fixture_config, fixture_run, monkeypatch,
     assert set(_pids(train_log)) == set(forks)  # and so did the cells, in the same workers
 
 
+def test_the_pool_has_workers_processes_when_its_first_map_has_fewer_jobs(
+        fixture_config, monkeypatch, tmp_path):
+    # The first table's two long data lines give two ranges at any cut count,
+    # so the run's first map of 2 or more jobs has 2; the pool still forks 3.
+    table = tmp_path / "two_lines.txt"
+    table.write_text("".join(f"unused{i} " + " ".join(["0.5"] * 40) + "\n" for i in range(3)),
+                     encoding="utf-8")
+    config = dataclasses.replace(
+        fixture_config, embeddings=(("two_lines", table), fixture_config.embeddings[0]))
+    serial = run_experiment(config)
+    real_fork = os.fork
+    forks = []
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(capsift.embeddings, "_BLOCK_CHARS", 64)
+    scan_log = _spy_on_scan(monkeypatch, tmp_path / "scans.log")
+    train_log = _spy_on_train(monkeypatch, tmp_path / "train.log")
+    pooled = run_experiment(config, workers=3)
+    assert (pooled.reports, pooled.skipped) == (serial.reports, serial.skipped)
+    ranges = capsift.embeddings._ranges(table, 3)
+    assert len(ranges) == 3  # the first line, then two mapped ranges
+    first_map = [(start, end) for pid, start, end in _scans(scan_log) if pid != os.getpid()][:2]
+    assert first_map == ranges[1:]
+    assert len(forks) == 3
+    assert os.getpid() not in _pids(train_log) and set(_pids(train_log)) <= set(forks)
+
+
 # Runs the fixture config pooled in a fresh interpreter, whose parent has not
 # yet imported what a split or a cell imports lazily, with every range scan
 # and cell job wrapped to log "pid job modules", the modules the job imported.
@@ -1091,6 +1137,22 @@ def test_pool_workers_import_no_module_during_their_jobs(tmp_path):
     in_workers = [row for row in rows if int(row[0]) != parent]
     assert {name for _, name, *_ in in_workers} == {"scan", "cell"}
     assert [imported for _, _, *imported in in_workers] == [[]] * len(in_workers)
+
+
+def test_an_embedded_cli_run_imports_no_pool_module(tmp_path):
+    # The serial path, in a fresh interpreter: the pool's imports stay out of it.
+    src = Path(capsift.cli.__file__).parents[1]
+    paths = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    script = ("import sys, capsift.cli\n"
+              "code = capsift.cli.main(sys.argv[1:])\n"
+              "print(code, sorted(m for m in sys.modules\n"
+              "                   if m.partition('.')[0] in ('concurrent', 'multiprocessing')))\n")
+    done = subprocess.run(
+        [sys.executable, "-c", script, "run", "--config", str(FIXTURES / "experiment.cfg"),
+         "--out", str(tmp_path)], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == f"{EXIT_OK} []"
 
 
 @pytest.mark.parametrize("workers", [0, -1, 1.5, "2", True])
