@@ -109,10 +109,18 @@ class AlgorithmSpec:
             typed[key] = int(value) if integral else float(value)
         object.__setattr__(self, "hyperparams", MappingProxyType(typed))
 
+    # a mappingproxy neither hashes nor pickles, so both go through its items
+    def __hash__(self) -> int:
+        return hash((self.algorithm, tuple(sorted(self.hyperparams.items())), self.seed))
+
+    def __reduce__(self):
+        return AlgorithmSpec, (self.algorithm, dict(self.hyperparams), self.seed)
+
 
 def train(spec: AlgorithmSpec, features, labels) -> TrainedModel:
     """Fit the algorithm named by the spec on (features, labels).
 
+    Labels must be integers; integral floats and bools count as their ints.
     Non-convergence of the gradient-trained models is not an error; the final
     iterate after the fixed iteration budget is returned.
     """
@@ -122,6 +130,8 @@ def train(spec: AlgorithmSpec, features, labels) -> TrainedModel:
         raise ValueError("features must be an N x D matrix")
     if y.shape != (X.shape[0],):
         raise ValueError("labels length must match feature rows")
+    if not np.array_equal(y, labels):
+        raise ValueError("labels must be integers")
     if not np.all(np.isfinite(X)):
         raise ValueError("features contain non-finite values")
     classes = np.unique(y)

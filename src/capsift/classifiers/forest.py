@@ -23,11 +23,6 @@ class DecisionTree:
     counts: np.ndarray  # n_nodes x K training-class counts
 
 
-def _gini(counts: np.ndarray, total: int) -> float:
-    p = counts / total
-    return 1.0 - float((p ** 2).sum())
-
-
 def _squared_share_sum(counts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Σ_k (counts[k] / sizes)² over the class axis 0 of ``counts``, rounded
     as ``.sum`` over a contiguous class-last axis rounds: left to right
@@ -46,15 +41,13 @@ class _TreeGrower:
     """Grows the CART trees of one forest.
 
     Holds what the trees share: the training set as (D, n) feature columns
-    and one-hot labels, both (n, K) and as a (K, n) copy, the
-    hyperparameters, and the child sizes 1..n - 1 in both directions, which
-    the split search slices for each node.
+    and (K, n) one-hot labels, the hyperparameters, and the child sizes
+    1..n - 1 in both directions, which the split search slices for each node.
     """
 
     def __init__(self, X, y_codes, n_classes, max_depth, min_leaf, n_split_features):
         self.columns = np.ascontiguousarray(X.T)
-        self.onehot = np.eye(n_classes)[y_codes]
-        self._labels = np.ascontiguousarray(self.onehot.T)
+        self._labels = (np.arange(n_classes)[:, None] == y_codes).astype(np.float64)
         self.max_depth = max_depth
         self.min_leaf = min_leaf
         self.n_split_features = n_split_features
@@ -82,8 +75,6 @@ class _TreeGrower:
         invalid = sorted_block[:, :-1] == sorted_block[:, 1:]
         invalid[:, : self.min_leaf - 1] = True  # left child under min_leaf rows
         invalid[:, m - self.min_leaf:] = True  # right child under min_leaf rows
-        if invalid.all():
-            return None
         # (class, feature, position): each class a contiguous (feature, position) plane
         counts_left = self._labels.take(idx.take(order[:, :-1]), axis=1).cumsum(axis=2)
         counts_right = node_counts[:, None, None] - counts_left
@@ -92,6 +83,8 @@ class _TreeGrower:
         weighted = (sizes_left * gini_left + sizes_right * gini_right) / m
         weighted[invalid] = np.inf
         row, pos = divmod(int(weighted.argmin()), m - 1)
+        if weighted[row, pos] == np.inf:  # no valid position
+            return None
         lo, hi = sorted_block[row, pos], sorted_block[row, pos + 1]
         threshold = (lo + hi) / 2.0
         if threshold == hi:  # keep the right side nonempty
@@ -106,21 +99,23 @@ class _TreeGrower:
 
         Growth is depth-first with an explicit stack, so depth is not bounded
         by Python recursion. Nodes are numbered, and each split node draws
-        its feature sample from ``rng``, in preorder.
+        its feature sample from ``rng``, in preorder, so a split node's left
+        child is always the next node.
         """
         feature: list[int] = []
         threshold: list[float] = []
         left: list[int] = []
         right: list[int] = []
         counts: list[np.ndarray] = []
-        root_counts = self.onehot[rows].sum(axis=0)
-        # (rows, depth, class counts, Gini, list holding the parent's link, parent)
-        stack = [(rows, 0, root_counts, _gini(root_counts, len(rows)), left, -1)]
+        root_counts = self._labels.take(rows, axis=1).sum(axis=1)
+        root_gini = float(1.0 - _squared_share_sum(root_counts, len(rows)))
+        # (rows, depth, class counts, Gini, parent of a right child or -1)
+        stack = [(rows, 0, root_counts, root_gini, -1)]
         while stack:
-            idx, depth, node_counts, node_gini, link, parent = stack.pop()
+            idx, depth, node_counts, node_gini, parent = stack.pop()
             node = len(feature)
             if parent >= 0:
-                link[parent] = node
+                right[parent] = node
             feature.append(-1)
             threshold.append(0.0)
             left.append(-1)
@@ -133,8 +128,9 @@ class _TreeGrower:
             if split is None or split[0] >= node_gini:
                 continue
             _, feature[node], threshold[node], go_left, left_child, right_child = split
-            stack.append((idx[~go_left], depth + 1, *right_child, right, node))
-            stack.append((idx[go_left], depth + 1, *left_child, left, node))
+            left[node] = node + 1
+            stack.append((idx[~go_left], depth + 1, *right_child, node))
+            stack.append((idx[go_left], depth + 1, *left_child, -1))
         return DecisionTree(
             feature=np.array(feature, dtype=np.int64),
             threshold=np.array(threshold, dtype=np.float64),

@@ -102,7 +102,7 @@ class ExperimentConfig:
     test_fraction: float = DEFAULT_TEST_FRACTION
     smote_k: int = DEFAULT_SMOTE_K
     algorithms: tuple[str, ...] = ALGORITHMS
-    hyperparams: dict = field(default_factory=dict)
+    hyperparams: dict = field(default_factory=dict, hash=False)  # equality still compares it
     t_values: tuple[int, ...] = DEFAULT_T_VALUES
     seed: int = 0
     out_dir: Path = Path("capsift-out")

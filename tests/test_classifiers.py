@@ -1,6 +1,8 @@
 """Classifier suite: training, prediction invariants, the public API."""
 
+import copy
 import hashlib
+import pickle
 
 import numpy as np
 import pytest
@@ -85,6 +87,14 @@ def test_spec_hyperparams_immutable():
         spec.hyperparams["k"] = 9
 
 
+def test_equal_specs_hash_equal():
+    assert hash(AlgorithmSpec(KNN, {"k": 5.0})) == hash(AlgorithmSpec(KNN))
+    specs = {AlgorithmSpec(KNN), AlgorithmSpec(KNN, {"k": 5}), AlgorithmSpec(KNN, seed=1),
+             AlgorithmSpec(RANDOM_FOREST, {"trees": 3, "max_depth": 4})}
+    assert len(specs) == 3
+    assert AlgorithmSpec(RANDOM_FOREST, {"max_depth": 4, "trees": 3}) in specs
+
+
 # --- train/predict common behavior -------------------------------------------
 
 
@@ -92,6 +102,16 @@ def test_train_requires_two_classes():
     X = np.zeros((4, 2))
     with pytest.raises(ValueError, match="two classes"):
         train(AlgorithmSpec(KNN), X, [1, 1, 1, 1])
+
+
+def test_train_rejects_labels_that_are_not_integers():
+    X = np.zeros((4, 2))
+    for labels in ([0.5, 1.7, 0.5, 1.7], np.array([0.0, 1.0, 1.0, 2.5])):
+        with pytest.raises(ValueError, match="labels must be integers"):
+            train(AlgorithmSpec(KNN), X, labels)
+    # integral floats and bools train as their int values
+    assert list(train(AlgorithmSpec(KNN), X, [0.0, 1.0, 1.0, 2.0]).classes) == [0, 1, 2]
+    assert list(train(AlgorithmSpec(KNN), X, [True, False, True, False]).classes) == [0, 1]
 
 
 def test_train_rejects_nonfinite_features():
@@ -126,6 +146,16 @@ def test_same_seed_same_model(algo):
     a = train(AlgorithmSpec(algo, seed=9), X, y)
     b = train(AlgorithmSpec(algo, seed=9), X, y)
     assert np.array_equal(a.predict_scores(Q), b.predict_scores(Q))
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_trained_model_pickles_and_deep_copies(algo):
+    X, y = blobs(seed=6)
+    Q = np.random.Generator(np.random.PCG64(7)).normal(0, 3, (40, X.shape[1]))
+    model = train(AlgorithmSpec(algo, seed=2), X, y)
+    for clone in (pickle.loads(pickle.dumps(model)), copy.deepcopy(model)):
+        assert clone.spec == model.spec and hash(clone.spec) == hash(model.spec)
+        assert np.array_equal(clone.predict_scores(Q), model.predict_scores(Q))
 
 
 # --- per-algorithm behavior ---------------------------------------------------

@@ -301,6 +301,15 @@ def test_list_tuple_and_iterator_containers_build_equal_configs(name, value):
     assert len({config_fingerprint(config) for config in configs}) == 1
 
 
+def test_configs_hash_and_equality_compares_hyperparams():
+    knn3 = {"knn": {"k": 3}}
+    configs = {base_config(), base_config(topics=["moon"]), base_config(topics=("moon",)),
+               base_config(hyperparams=knn3), base_config(hyperparams=knn3)}
+    assert len(configs) == 3
+    assert base_config(hyperparams=knn3) != base_config()
+    assert hash(base_config(hyperparams=knn3)) == hash(base_config(hyperparams={"knn": {"k": 3}}))
+
+
 def test_sweep_always_ends_with_dummy():
     cfg = base_config(algorithms=("knn", "gaussian_nb"))
     assert cfg.algorithms == ("knn", "gaussian_nb", DUMMY)

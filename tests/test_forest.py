@@ -168,7 +168,7 @@ def test_best_split_matches_reference_values(n_classes):
         for _ in range(60):
             idx = rng.integers(0, 300, size=int(rng.integers(2, 300)))
             features = rng.permutation(25)[:5]
-            got = grower.best_split(idx, grower.onehot[idx].sum(axis=0), features)
+            got = grower.best_split(idx, np.bincount(y[idx], minlength=n_classes), features)
             want = reference_best_split(X, y, idx, features, n_classes, min_leaf)
             if want is None:
                 assert got is None
@@ -180,6 +180,19 @@ def test_best_split_matches_reference_values(n_classes):
                 expected = np.bincount(y[rows], minlength=n_classes)
                 assert np.array_equal(counts, expected)
                 assert gini == reference_gini(expected, len(rows))
+
+
+def test_trees_are_laid_out_in_preorder():
+    # a split node's left child is the next node; a leaf links nowhere
+    X, y = tied_data(7, 300, 5, 3, "rounded")
+    model = train(AlgorithmSpec(RANDOM_FOREST, {"trees": 5, "min_leaf": 1}, seed=7), X, y)
+    for tree in model.trees:
+        split = tree.feature >= 0
+        assert split.any()
+        nodes = np.flatnonzero(split)
+        assert np.array_equal(tree.left[nodes], nodes + 1)
+        assert (tree.right[nodes] > nodes + 1).all()
+        assert (tree.left[~split] == -1).all() and (tree.right[~split] == -1).all()
 
 
 def test_forest_grows_past_the_recursion_limit():
